@@ -11,20 +11,18 @@
 //! return identical result sets before anything is timed.
 //!
 //! On top of the legacy-vs-CSR comparison, a **kernel grid** times the
-//! same workload through three engine configurations per algorithm:
+//! same workload through two engine configurations per algorithm:
 //!
-//! | arm | posting order | distance kernel |
-//! |---|---|---|
-//! | `scalar` | insertion (`Id`) | [`Kernel::Scalar`] — the oracle |
-//! | `simd` | insertion (`Id`) | [`Kernel::Simd`] |
-//! | `suffix-bound` | [`PostingOrder::SuffixBound`] | [`Kernel::Simd`] |
+//! | arm | distance kernel |
+//! |---|---|
+//! | `scalar` | [`Kernel::Scalar`] — the oracle |
+//! | `simd` | [`Kernel::Simd`] |
 //!
-//! All arms are verified result-set-identical before timing, and the
-//! suffix-bound arm's early-termination counters (posting-window skip
-//! rate, validation abort rate) land in the artifact. When
+//! Both arms are verified result-set-identical before timing, and the
+//! SIMD arm's validation abort rate lands in the artifact. When
 //! `RANKSIM_HOTPATH_SPEEDUP_MIN` is set, the run fails (exit 1) unless
-//! the best kernelized arm beats the scalar oracle by that factor on
-//! F&V or ListMerge — the CI smoke step pins it.
+//! the SIMD arm beats the scalar oracle by that factor on F&V or
+//! ListMerge — the CI smoke step pins it.
 //!
 //! Workload: NYT-like corpus (default n = 50 000, k = 10, θ = 0.2) —
 //! override with `RANKSIM_NYT_N` / `RANKSIM_QUERIES`; the CI smoke step
@@ -40,7 +38,7 @@ use std::time::Instant;
 
 use ranksim_bench::{Bench, ExpConfig, Family};
 use ranksim_core::engine::{Algorithm, Engine, EngineBuilder};
-use ranksim_invindex::{Posting, PostingOrder};
+use ranksim_invindex::Posting;
 use ranksim_rankings::hash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap};
 use ranksim_rankings::{
     one_side_total, raw_threshold, ExecStats, ItemId, Kernel, PositionMap, QueryStats, RankingId,
@@ -172,14 +170,12 @@ impl Comparison {
 }
 
 /// One algorithm's row of the kernel grid: mean ms per 1000 queries for
-/// the scalar oracle, the SIMD kernel and the suffix-bound-ordered +
-/// SIMD configuration, plus the suffix-bound arm's early-termination
-/// counters.
+/// the scalar oracle and the SIMD kernel, plus the SIMD arm's
+/// early-termination counters.
 struct KernelRow {
     name: &'static str,
     scalar_ms: f64,
     simd_ms: f64,
-    suffix_ms: f64,
     exec: ExecStats,
 }
 
@@ -188,26 +184,13 @@ impl KernelRow {
         self.scalar_ms / self.simd_ms
     }
 
-    fn suffix_speedup(&self) -> f64 {
-        self.scalar_ms / self.suffix_ms
-    }
-
-    /// Fraction of validations the suffix-bound kernel aborted early.
+    /// Fraction of validations the SIMD kernel aborted early.
     fn abort_rate(&self) -> f64 {
         let calls = self.exec.distance_calls;
         if calls == 0 {
             return 0.0;
         }
         self.exec.validations_pruned as f64 / calls as f64
-    }
-
-    /// Fraction of posting entries bypassed by rank-window scans.
-    fn skip_rate(&self) -> f64 {
-        let total = self.exec.postings_scanned + self.exec.postings_skipped;
-        if total == 0 {
-            return 0.0;
-        }
-        self.exec.postings_skipped as f64 / total as f64
     }
 }
 
@@ -343,16 +326,14 @@ fn main() {
         c.csr_ms /= rounds as f64;
     }
 
-    // Kernel grid: scalar oracle, SIMD kernel, suffix-bound order + SIMD
-    // kernel — each arm measured in isolation (its engine is built, its
-    // passes run back-to-back, then it is dropped). `engine` (the CSR
-    // arm above) doubles as the `simd` arm: insertion order + SIMD
-    // kernel is the engine default.
+    // Kernel grid: scalar oracle and SIMD kernel — each arm measured in
+    // isolation (its engine is built, its passes run back-to-back, then
+    // it is dropped). `engine` (the CSR arm above) doubles as the `simd`
+    // arm: the SIMD kernel is the engine default.
     let scalar_cells = {
         let engine_scalar = EngineBuilder::new(store.clone())
             .algorithms(&[Algorithm::Fv, Algorithm::ListMerge])
             .kernel(Kernel::Scalar)
-            .posting_order(PostingOrder::Id)
             .build();
         measure_arm(
             &engine_scalar,
@@ -373,36 +354,18 @@ fn main() {
         rounds,
         "simd",
     );
-    let suffix_cells = {
-        let engine_suffix = EngineBuilder::new(store.clone())
-            .algorithms(&[Algorithm::Fv, Algorithm::ListMerge])
-            .kernel(Kernel::Simd)
-            .posting_order(PostingOrder::SuffixBound)
-            .build();
-        measure_arm(
-            &engine_suffix,
-            &bench.queries,
-            &oracles,
-            raw,
-            bench.scale_to_1000,
-            rounds,
-            "suffix-bound",
-        )
-    };
     let kernel_rows = [
         KernelRow {
             name: "fv",
             scalar_ms: scalar_cells[0].0,
             simd_ms: simd_cells[0].0,
-            suffix_ms: suffix_cells[0].0,
-            exec: suffix_cells[0].1,
+            exec: simd_cells[0].1,
         },
         KernelRow {
             name: "listmerge",
             scalar_ms: scalar_cells[1].0,
             simd_ms: simd_cells[1].0,
-            suffix_ms: suffix_cells[1].0,
-            exec: suffix_cells[1].1,
+            exec: simd_cells[1].1,
         },
     ];
 
@@ -427,15 +390,12 @@ fn main() {
     json.push_str("  \"kernels\": {\n");
     for (i, row) in kernel_rows.iter().enumerate() {
         json.push_str(&format!(
-            "    \"{}\": {{\"scalar_ms_per_1000q\": {:.3}, \"simd_ms_per_1000q\": {:.3}, \"suffix_bound_ms_per_1000q\": {:.3}, \"simd_speedup_vs_scalar\": {:.3}, \"suffix_bound_speedup_vs_scalar\": {:.3}, \"early_termination\": {{\"validation_abort_rate\": {:.4}, \"posting_skip_rate\": {:.4}}}}}{}\n",
+            "    \"{}\": {{\"scalar_ms_per_1000q\": {:.3}, \"simd_ms_per_1000q\": {:.3}, \"simd_speedup_vs_scalar\": {:.3}, \"early_termination\": {{\"validation_abort_rate\": {:.4}}}}}{}\n",
             row.name,
             row.scalar_ms,
             row.simd_ms,
-            row.suffix_ms,
             row.simd_speedup(),
-            row.suffix_speedup(),
             row.abort_rate(),
-            row.skip_rate(),
             if i == 0 { "," } else { "" }
         ));
     }
@@ -462,22 +422,18 @@ fn main() {
     );
     for row in &kernel_rows {
         println!(
-            "{:<10} scalar {:8.2}  simd {:8.2} ({:.2}x)  suffix-bound {:8.2} ({:.2}x)  abort {:.1}%  skip {:.1}%",
+            "{:<10} scalar {:8.2}  simd {:8.2} ({:.2}x)  abort {:.1}%",
             row.name,
             row.scalar_ms,
             row.simd_ms,
             row.simd_speedup(),
-            row.suffix_ms,
-            row.suffix_speedup(),
             100.0 * row.abort_rate(),
-            100.0 * row.skip_rate(),
         );
     }
     eprintln!("# wrote {out_path}");
 
-    // Self-enforced regression floor: the best kernelized arm (SIMD or
-    // suffix-bound + SIMD) must beat the scalar oracle by the configured
-    // factor on at least one algorithm (CI pins
+    // Self-enforced regression floor: the SIMD arm must beat the scalar
+    // oracle by the configured factor on at least one algorithm (CI pins
     // `RANKSIM_HOTPATH_SPEEDUP_MIN`).
     if let Some(min) = std::env::var("RANKSIM_HOTPATH_SPEEDUP_MIN")
         .ok()
@@ -485,11 +441,11 @@ fn main() {
     {
         let best = kernel_rows
             .iter()
-            .map(|r| r.simd_speedup().max(r.suffix_speedup()))
+            .map(KernelRow::simd_speedup)
             .fold(f64::NEG_INFINITY, f64::max);
         if best < min {
             eprintln!(
-                "FAIL: best kernel speedup over the scalar oracle {best:.3}x is below \
+                "FAIL: best SIMD speedup over the scalar oracle {best:.3}x is below \
                  the RANKSIM_HOTPATH_SPEEDUP_MIN floor {min:.3}x"
             );
             std::process::exit(1);

@@ -202,7 +202,7 @@ fn build_sharded(
     let mut bases: Vec<Vec<ItemId>> = Vec::with_capacity(cfg.queries);
     let mut i = 0usize;
     generator.for_each(|items| {
-        if i % stride == 0 && bases.len() < cfg.queries {
+        if i.is_multiple_of(stride) && bases.len() < cfg.queries {
             bases.push(items.to_vec());
         }
         builder.push_ranking(items);

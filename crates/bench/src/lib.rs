@@ -895,7 +895,7 @@ pub fn run_sharded(cfg: &ExpConfig, family: Family, rc: ShardRunConfig) -> Shard
     let mut i = 0usize;
     let t0 = Instant::now();
     generator.for_each(|items| {
-        if i % stride == 0 && bases.len() < cfg.queries {
+        if i.is_multiple_of(stride) && bases.len() < cfg.queries {
             bases.push(items.to_vec());
         }
         builder.push_ranking(items);
@@ -1646,6 +1646,46 @@ pub fn ablation_drop_policy(bench: &Bench, theta: f64) -> Vec<AblationRow> {
     rows
 }
 
+/// Ablation B — partitioning scheme behind the coarse index: shared
+/// BK-subtrees (the paper's Figure 1 design, zero extra distance calls)
+/// vs Chávez–Navarro random medoids with per-partition BK-trees.
+pub fn ablation_partitioner(bench: &Bench, theta: f64, theta_c: f64) -> Vec<AblationRow> {
+    use ranksim_metricspace::RandomMedoidPartitioner;
+    let store = bench.store();
+    let k = store.k();
+    let raw = raw_threshold(theta, k);
+    let raw_c = raw_threshold(theta_c, k);
+    let mut rows = Vec::new();
+
+    for (name, index) in [
+        (
+            "BK-subtree partitions (paper)",
+            CoarseIndex::build(store, raw_c),
+        ),
+        (
+            "random-medoid partitions",
+            CoarseIndex::from_partitioning(
+                store,
+                RandomMedoidPartitioner::new(17).partition(store, raw_c),
+            ),
+        ),
+    ] {
+        let build_dfc = index.build_stats().distance_calls;
+        let (d, stats, _) = time_queries(&bench.queries, |q, s| {
+            index.query(store, q, raw, false, s).len()
+        });
+        rows.push(AblationRow {
+            arm: format!(
+                "{name} ({} partitions, {build_dfc} build DFC)",
+                index.num_partitions()
+            ),
+            time_ms: ms(d) * bench.scale_to_1000,
+            dfc: stats.distance_calls,
+        });
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1723,44 +1763,4 @@ mod tests {
                     + bench.store().len() * bench.store().k() * 4
         );
     }
-}
-
-/// Ablation B — partitioning scheme behind the coarse index: shared
-/// BK-subtrees (the paper's Figure 1 design, zero extra distance calls)
-/// vs Chávez–Navarro random medoids with per-partition BK-trees.
-pub fn ablation_partitioner(bench: &Bench, theta: f64, theta_c: f64) -> Vec<AblationRow> {
-    use ranksim_metricspace::RandomMedoidPartitioner;
-    let store = bench.store();
-    let k = store.k();
-    let raw = raw_threshold(theta, k);
-    let raw_c = raw_threshold(theta_c, k);
-    let mut rows = Vec::new();
-
-    for (name, index) in [
-        (
-            "BK-subtree partitions (paper)",
-            CoarseIndex::build(store, raw_c),
-        ),
-        (
-            "random-medoid partitions",
-            CoarseIndex::from_partitioning(
-                store,
-                RandomMedoidPartitioner::new(17).partition(store, raw_c),
-            ),
-        ),
-    ] {
-        let build_dfc = index.build_stats().distance_calls;
-        let (d, stats, _) = time_queries(&bench.queries, |q, s| {
-            index.query(store, q, raw, false, s).len()
-        });
-        rows.push(AblationRow {
-            arm: format!(
-                "{name} ({} partitions, {build_dfc} build DFC)",
-                index.num_partitions()
-            ),
-            time_ms: ms(d) * bench.scale_to_1000,
-            dfc: stats.distance_calls,
-        });
-    }
-    rows
 }

@@ -365,7 +365,7 @@ pub struct LatencyUs {
 
 impl LatencyUs {
     /// Summarizes raw nanosecond samples (sorts in place).
-    pub fn from_ns(samples: &mut Vec<u64>) -> Self {
+    pub fn from_ns(samples: &mut [u64]) -> Self {
         if samples.is_empty() {
             return LatencyUs::default();
         }
@@ -578,7 +578,7 @@ pub fn run_serve(cfg: &ExpConfig, rc: ServeRunConfig) -> ServeReport {
                                 }
                             };
                             let t = Instant::now();
-                            if op % 2 == 0 {
+                            if op.is_multiple_of(2) {
                                 let mut items = snap.store().items(victim).to_vec();
                                 perturb_ranking(&mut items, domain, perturb, &mut rng);
                                 core.engine().insert_ranking(&items);

@@ -150,6 +150,9 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// serving thread hostage much past its budget. The check is at claim
 /// time — an already-running query finishes (queries are short; the
 /// driver never interrupts one mid-flight).
+/// One worker's claimed `(query index, result set)` pairs.
+type Claimed = Vec<(usize, Vec<RankingId>)>;
+
 pub(crate) fn run_stealing<W, F>(
     num_queries: usize,
     threads: usize,
@@ -166,62 +169,61 @@ where
     let threads = resolve_threads(threads, num_queries);
     let cursor = TaskCursor::new(num_queries);
     let barrier = Barrier::new(threads);
-    let mut per_worker: Vec<(Vec<(usize, Vec<RankingId>)>, WorkerReport)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let barrier = &barrier;
-                    let make_worker = &make_worker;
-                    scope.spawn(move || {
-                        let mut work = make_worker();
-                        let mut report = WorkerReport::default();
-                        let mut claimed: Vec<(usize, Vec<RankingId>)> = Vec::new();
-                        // All workers start before any claims, so a batch
-                        // cannot be drained before late workers exist.
-                        barrier.wait();
-                        while let Some(qi) = cursor.claim() {
-                            if deadline.is_some_and(|d| Instant::now() >= d) {
-                                report.queries += 1;
-                                report.timed_out.push(qi);
-                                continue;
-                            }
-                            let attempt =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    work(qi, &mut report)
-                                }));
+    let mut per_worker: Vec<(Claimed, WorkerReport)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let cursor = &cursor;
+                let barrier = &barrier;
+                let make_worker = &make_worker;
+                scope.spawn(move || {
+                    let mut work = make_worker();
+                    let mut report = WorkerReport::default();
+                    let mut claimed: Claimed = Vec::new();
+                    // All workers start before any claims, so a batch
+                    // cannot be drained before late workers exist.
+                    barrier.wait();
+                    while let Some(qi) = cursor.claim() {
+                        if deadline.is_some_and(|d| Instant::now() >= d) {
                             report.queries += 1;
-                            match attempt {
-                                Ok(out) => claimed.push((qi, out)),
-                                Err(payload) => {
-                                    report.failed += 1;
-                                    if report.error.is_none() {
-                                        report.error = Some(panic_message(payload.as_ref()));
-                                    }
+                            report.timed_out.push(qi);
+                            continue;
+                        }
+                        let attempt =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                work(qi, &mut report)
+                            }));
+                        report.queries += 1;
+                        match attempt {
+                            Ok(out) => claimed.push((qi, out)),
+                            Err(payload) => {
+                                report.failed += 1;
+                                if report.error.is_none() {
+                                    report.error = Some(panic_message(payload.as_ref()));
                                 }
                             }
                         }
-                        (claimed, report)
-                    })
+                    }
+                    (claimed, report)
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // With per-query containment above, a join error means
-                    // the worker died outside query execution (e.g. in
-                    // `make_worker`); degrade to an error report rather
-                    // than poisoning the whole batch.
-                    h.join().unwrap_or_else(|payload| {
-                        let report = WorkerReport {
-                            error: Some(panic_message(payload.as_ref())),
-                            ..WorkerReport::default()
-                        };
-                        (Vec::new(), report)
-                    })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                // With per-query containment above, a join error means
+                // the worker died outside query execution (e.g. in
+                // `make_worker`); degrade to an error report rather
+                // than poisoning the whole batch.
+                h.join().unwrap_or_else(|payload| {
+                    let report = WorkerReport {
+                        error: Some(panic_message(payload.as_ref())),
+                        ..WorkerReport::default()
+                    };
+                    (Vec::new(), report)
                 })
-                .collect()
-        });
+            })
+            .collect()
+    });
     let mut results: Vec<Vec<RankingId>> = Vec::with_capacity(num_queries);
     results.resize_with(num_queries, Vec::new);
     let mut reports = Vec::with_capacity(threads);
@@ -635,11 +637,11 @@ mod tests {
             .iter()
             .flat_map(|r| r.timed_out.iter().copied())
             .collect();
-        for qi in 1..10 {
+        for (qi, result) in results.iter().enumerate().skip(1) {
             if timed_out.contains(&qi) {
-                assert!(results[qi].is_empty(), "timed-out query {qi} has results");
+                assert!(result.is_empty(), "timed-out query {qi} has results");
             } else {
-                assert_eq!(results[qi], vec![RankingId(qi as u32)], "query {qi}");
+                assert_eq!(result, &vec![RankingId(qi as u32)], "query {qi}");
             }
         }
         assert_eq!(reports.iter().map(|r| r.queries).sum::<u64>(), 10);

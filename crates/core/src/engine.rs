@@ -40,7 +40,7 @@ use ranksim_adaptsearch::{
 use ranksim_invindex::{
     AugmentedIndexParts, AugmentedInvertedIndex, BlockedIndexParts, BlockedInvertedIndex,
     BlockedPruneExecutor, FvDropExecutor, FvExecutor, ListMergeExecutor, PlainIndexParts,
-    PlainInvertedIndex, PostingOrder,
+    PlainInvertedIndex,
 };
 use ranksim_metricspace::{knn_bktree, knn_linear, query_pairs_into, BkTree, BkTreeParts};
 use ranksim_rankings::{
@@ -243,10 +243,6 @@ struct EngineConfig {
     /// (see [`Kernel`]; default [`Kernel::Simd`] — results are
     /// bit-identical across kernels, only counters and speed differ).
     kernel: Kernel,
-    /// Build-time ordering of the CSR posting slices (see
-    /// [`PostingOrder`]; default [`PostingOrder::Id`], the classic
-    /// layout — `SuffixBound` enables threshold-window scans).
-    posting_order: PostingOrder,
 }
 
 /// Builder for [`Engine`].
@@ -269,7 +265,6 @@ impl EngineBuilder {
                 compact_tombstone_fraction: 0.5,
                 planner_refresh_budget: 1024,
                 kernel: Kernel::default(),
-                posting_order: PostingOrder::default(),
             },
         }
     }
@@ -279,16 +274,6 @@ impl EngineBuilder {
     /// across kernels; only speed and the pruning counters differ.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.config.kernel = kernel;
-        self
-    }
-
-    /// Selects the build-time ordering of the CSR posting slices (default
-    /// [`PostingOrder::Id`], the classic layout). `SuffixBound` sorts
-    /// each per-item slice by `(rank, id)` so scans window to the
-    /// `|rank − q_rank| ≤ θ` band; result sets are bit-identical, only
-    /// the scan counters differ.
-    pub fn posting_order(mut self, order: PostingOrder) -> Self {
-        self.config.posting_order = order;
         self
     }
 
@@ -425,25 +410,20 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
         }
     };
     let want = |a: Algorithm| candidates.contains(&a);
-    let order = config.posting_order;
     let plain = (want(Algorithm::Fv) || want(Algorithm::FvDrop)).then(|| {
-        Arc::new(PlainInvertedIndex::build_with_remap_ordered(
+        Arc::new(PlainInvertedIndex::build_with_remap(
             store,
             remap.clone(),
             store.live_ids(),
-            order,
         ))
     });
     let augmented = want(Algorithm::ListMerge).then(|| {
-        Arc::new(AugmentedInvertedIndex::build_with_remap_ordered(
+        Arc::new(AugmentedInvertedIndex::build_with_remap(
             store,
             remap.clone(),
             store.live_ids(),
-            order,
         ))
     });
-    // The blocked layout is already rank-major by construction; the
-    // posting order applies to the flat CSR layouts only.
     let blocked = (want(Algorithm::BlockedPrune) || want(Algorithm::BlockedPruneDrop)).then(|| {
         Arc::new(BlockedInvertedIndex::build_with_remap(
             store,
@@ -452,11 +432,10 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
         ))
     });
     let adapt = want(Algorithm::AdaptSearch).then(|| {
-        Arc::new(AdaptSearchIndex::build_with_remap_ordered(
+        Arc::new(AdaptSearchIndex::build_with_remap(
             store,
             remap.clone(),
             AdaptCostParams::default(),
-            order,
         ))
     });
     let coarse_theta = raw_threshold(config.coarse_theta_c, k);
@@ -504,7 +483,6 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
             costs,
             coarse_theta,
             drop_theta,
-            config.posting_order,
         )
     });
 
@@ -594,8 +572,6 @@ pub(crate) struct EngineConfigParts {
     pub planner_refresh_budget: u64,
     /// [`Kernel::to_tag`] of the configured distance kernel.
     pub kernel: u32,
-    /// [`PostingOrder::to_tag`] of the configured posting order.
-    pub posting_order: u32,
 }
 
 /// Sentinel slot encoding [`Algorithm::Auto`] in a persisted candidate
@@ -702,11 +678,6 @@ impl Engine {
         self.config.kernel
     }
 
-    /// The configured CSR posting-slice ordering.
-    pub fn posting_order(&self) -> PostingOrder {
-        self.config.posting_order
-    }
-
     /// The executor registered for a concrete algorithm. Panics with the
     /// same diagnostic the old enum dispatch produced when the backing
     /// index was not built.
@@ -788,7 +759,6 @@ impl Engine {
                 compact_tombstone_fraction: self.config.compact_tombstone_fraction,
                 planner_refresh_budget: self.config.planner_refresh_budget as u64,
                 kernel: self.config.kernel.to_tag(),
-                posting_order: self.config.posting_order.to_tag(),
             },
             plain: self.plain.as_ref().map(|i| i.export_parts()),
             augmented: self.augmented.as_ref().map(|i| i.export_parts()),
@@ -867,10 +837,9 @@ impl Engine {
         if let Some(s) = &parts.planner {
             check_k(s.k, "planner")?;
         }
-        let posting_order = PostingOrder::from_tag(parts.config.posting_order)?;
         let planner = parts
             .planner
-            .map(|s| Planner::from_saved(s, remap.clone(), posting_order))
+            .map(|s| Planner::from_saved(s, remap.clone()))
             .transpose()?;
         let decode_alg = |slot: u32| -> Result<Algorithm, String> {
             if slot == AUTO_SLOT {
@@ -896,7 +865,6 @@ impl Engine {
             compact_tombstone_fraction: parts.config.compact_tombstone_fraction,
             planner_refresh_budget: (parts.config.planner_refresh_budget as usize).max(1),
             kernel: Kernel::from_tag(parts.config.kernel)?,
-            posting_order,
         };
         // The mutation overlay must describe this store exactly: the
         // position table spans the id space, every delta entry is a live
@@ -1623,7 +1591,7 @@ mod tests {
         check(&engine);
         // Released ids accept id-stable re-insertions.
         let freed = engine.store().first_free_slot().expect("released slots");
-        engine.insert_ranking_at(freed, &ds.store.items(freed).to_vec());
+        engine.insert_ranking_at(freed, ds.store.items(freed));
         assert!(engine.is_live(freed));
         check(&engine);
     }

@@ -53,14 +53,14 @@ use crate::planner::PlannerSaved;
 use crate::shard::{ShardConfigParts, ShardedEngine, ShardedPersistParts};
 use crate::wal::{crc32, WalError};
 use ranksim_adaptsearch::{AdaptCostParams, AdaptIndexParts};
-use ranksim_invindex::{AugmentedIndexParts, BlockedIndexParts, PlainIndexParts, PostingOrder};
+use ranksim_invindex::{AugmentedIndexParts, BlockedIndexParts, PlainIndexParts};
 use ranksim_metricspace::{BkTreeParts, PartitioningParts};
 use ranksim_rankings::{RankingId, RemapParts, StoreParts};
 
 /// File magic: "RSSN" (RankSim SNapshot).
 pub const MAGIC: [u8; 4] = *b"RSSN";
 /// Current container format version.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 16;
 const ENTRY_LEN: usize = 32;
@@ -236,7 +236,7 @@ pub struct SnapshotMeta {
 // ---------------------------------------------------------------------
 
 fn pad8(out: &mut Vec<u8>) {
-    while out.len() % 8 != 0 {
+    while !out.len().is_multiple_of(8) {
         out.push(0);
     }
 }
@@ -554,7 +554,7 @@ fn read_aligned(path: &Path) -> Result<AlignedBuf, PersistError> {
 /// Parses the header and section table, enforcing the tiling rule
 /// described in the module docs. In [`LoadMode::Verify`] every
 /// section's CRC is checked here, before any payload is decoded.
-fn parse_sections<'a>(buf: &'a [u8], mode: LoadMode) -> Result<Vec<(u32, &'a [u8])>, PersistError> {
+fn parse_sections(buf: &[u8], mode: LoadMode) -> Result<Vec<(u32, &[u8])>, PersistError> {
     if buf.len() < HEADER_LEN {
         return Err(PersistError::Truncated { section: "header" });
     }
@@ -672,7 +672,6 @@ fn enc_meta(meta: SnapshotMeta, cfg: &EngineConfigParts) -> Vec<u8> {
     put_f64(&mut out, cfg.compact_tombstone_fraction);
     put_u64(&mut out, cfg.planner_refresh_budget);
     put_u32w(&mut out, cfg.kernel);
-    put_u32w(&mut out, cfg.posting_order);
     out
 }
 
@@ -694,7 +693,6 @@ fn dec_meta(payload: &[u8]) -> Result<(SnapshotMeta, EngineConfigParts), Persist
     let compact_tombstone_fraction = c.f64()?;
     let planner_refresh_budget = c.u64()?;
     let kernel = c.u32w()?;
-    let posting_order = c.u32w()?;
     c.finish()?;
     Ok((
         meta,
@@ -707,7 +705,6 @@ fn dec_meta(payload: &[u8]) -> Result<(SnapshotMeta, EngineConfigParts), Persist
             compact_tombstone_fraction,
             planner_refresh_budget,
             kernel,
-            posting_order,
         },
     ))
 }
@@ -765,23 +762,16 @@ fn enc_plain(p: &PlainIndexParts) -> Vec<u8> {
 fn enc_plain_into(out: &mut Vec<u8>, p: &PlainIndexParts) {
     put_u32w(out, p.k);
     put_u32w(out, p.indexed);
-    put_u32w(out, p.order.to_tag());
     put_u32_arr(out, &p.offsets);
     put_u32_arr(out, &p.postings);
-    put_u32_arr(out, &p.ranks);
 }
 
 fn dec_plain_from(c: &mut Cur<'_>) -> Result<PlainIndexParts, PersistError> {
-    let k = c.u32w()?;
-    let indexed = c.u32w()?;
-    let order = PostingOrder::from_tag(c.u32w()?).map_err(|d| c.corrupt(d))?;
     Ok(PlainIndexParts {
-        k,
-        indexed,
-        order,
+        k: c.u32w()?,
+        indexed: c.u32w()?,
         offsets: c.u32_arr()?,
         postings: c.u32_arr()?,
-        ranks: c.u32_arr()?,
     })
 }
 
@@ -796,7 +786,6 @@ fn enc_augmented(p: &AugmentedIndexParts) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32w(&mut out, p.k);
     put_u32w(&mut out, p.indexed);
-    put_u32w(&mut out, p.order.to_tag());
     put_u32_arr(&mut out, &p.offsets);
     put_u32_arr(&mut out, &p.ids);
     put_u32_arr(&mut out, &p.ranks);
@@ -805,13 +794,9 @@ fn enc_augmented(p: &AugmentedIndexParts) -> Vec<u8> {
 
 fn dec_augmented(payload: &[u8]) -> Result<AugmentedIndexParts, PersistError> {
     let mut c = Cur::new(payload, "augmented");
-    let k = c.u32w()?;
-    let indexed = c.u32w()?;
-    let order = PostingOrder::from_tag(c.u32w()?).map_err(|d| c.corrupt(d))?;
     let p = AugmentedIndexParts {
-        k,
-        indexed,
-        order,
+        k: c.u32w()?,
+        indexed: c.u32w()?,
         offsets: c.u32_arr()?,
         ids: c.u32_arr()?,
         ranks: c.u32_arr()?,
@@ -847,32 +832,24 @@ fn enc_adapt(p: &AdaptIndexParts) -> Vec<u8> {
     put_u32w(&mut out, p.indexed);
     put_f64(&mut out, p.params.posting_cost);
     put_f64(&mut out, p.params.candidate_cost);
-    put_u32w(&mut out, p.order.to_tag());
     put_u32_arr(&mut out, &p.freq);
     put_u32_arr(&mut out, &p.pos_offsets);
     put_u32_arr(&mut out, &p.ids);
-    put_u32_arr(&mut out, &p.ranks);
     out
 }
 
 fn dec_adapt(payload: &[u8]) -> Result<AdaptIndexParts, PersistError> {
     let mut c = Cur::new(payload, "adaptsearch");
-    let k = c.u32w()?;
-    let indexed = c.u32w()?;
-    let params = AdaptCostParams {
-        posting_cost: c.f64()?,
-        candidate_cost: c.f64()?,
-    };
-    let order = PostingOrder::from_tag(c.u32w()?).map_err(|d| c.corrupt(d))?;
     let p = AdaptIndexParts {
-        k,
-        indexed,
-        params,
-        order,
+        k: c.u32w()?,
+        indexed: c.u32w()?,
+        params: AdaptCostParams {
+            posting_cost: c.f64()?,
+            candidate_cost: c.f64()?,
+        },
         freq: c.u32_arr()?,
         pos_offsets: c.u32_arr()?,
         ids: c.u32_arr()?,
-        ranks: c.u32_arr()?,
     };
     c.finish()?;
     Ok(p)
@@ -1011,7 +988,6 @@ fn enc_planner(p: &PlannerSaved) -> Vec<u8> {
     put_u64_arr(&mut out, &p.explored);
     put_u64_arr(&mut out, &p.incumbent);
     put_u64_arr(&mut out, &p.pruned_rates);
-    put_u64_arr(&mut out, &p.skip_rates);
     out
 }
 
@@ -1039,7 +1015,6 @@ fn dec_planner(payload: &[u8]) -> Result<PlannerSaved, PersistError> {
         explored: c.u64_arr()?,
         incumbent: c.u64_arr()?,
         pruned_rates: c.u64_arr()?,
-        skip_rates: c.u64_arr()?,
     };
     c.finish()?;
     Ok(p)
@@ -1181,7 +1156,6 @@ fn enc_manifest(p: &ShardedPersistParts) -> Vec<u8> {
     put_bool(&mut out, cfg.planner_refresh_budget.is_some());
     put_u64(&mut out, cfg.planner_refresh_budget.unwrap_or(0));
     put_u32w(&mut out, cfg.kernel);
-    put_u32w(&mut out, cfg.posting_order);
     put_f64(&mut out, cfg.rebalance_skew_factor);
     put_u64(&mut out, cfg.rebalance_min_gap);
     put_bool(&mut out, cfg.rebalance_auto);
@@ -1219,7 +1193,6 @@ fn dec_manifest(payload: &[u8]) -> Result<ShardedPersistParts, PersistError> {
     let has_refresh = c.boolean()?;
     let refresh = c.u64()?;
     let kernel = c.u32w()?;
-    let posting_order = c.u32w()?;
     let rebalance_skew_factor = c.f64()?;
     let rebalance_min_gap = c.u64()?;
     let rebalance_auto = c.boolean()?;
@@ -1253,7 +1226,6 @@ fn dec_manifest(payload: &[u8]) -> Result<ShardedPersistParts, PersistError> {
             compact_tombstone_fraction: has_compact.then_some(compact),
             planner_refresh_budget: has_refresh.then_some(refresh),
             kernel,
-            posting_order,
             rebalance_skew_factor,
             rebalance_min_gap,
             rebalance_auto,
@@ -1466,7 +1438,7 @@ mod tests {
 
     #[test]
     fn misaligned_cast_falls_back_to_checked_copy() {
-        let mut storage = vec![0u8; 4 * 5 + 1];
+        let mut storage = [0u8; 4 * 5 + 1];
         for (i, chunk) in storage[1..].chunks_exact_mut(4).enumerate() {
             chunk.copy_from_slice(&(i as u32 + 7).to_le_bytes());
         }

@@ -36,7 +36,6 @@
 use crate::batch::{merge_reports, run_stealing, WorkerReport};
 use crate::engine::{Algorithm, Engine, EngineBuilder};
 use crate::planner::PlanStats;
-use ranksim_invindex::PostingOrder;
 use ranksim_metricspace::KnnHeap;
 use ranksim_rankings::{ItemId, Kernel, QueryScratch, QueryStats, RankingId, RankingStore};
 use std::time::{Duration, Instant};
@@ -103,7 +102,6 @@ struct ShardConfig {
     compact_tombstone_fraction: Option<f64>,
     planner_refresh_budget: Option<usize>,
     kernel: Kernel,
-    posting_order: PostingOrder,
     rebalance: RebalanceConfig,
 }
 
@@ -127,8 +125,7 @@ impl ShardConfig {
         if let Some(m) = self.planner_refresh_budget {
             b = b.planner_refresh_budget(m);
         }
-        b = b.kernel(self.kernel).posting_order(self.posting_order);
-        b.build()
+        b.kernel(self.kernel).build()
     }
 }
 
@@ -214,7 +211,6 @@ impl ShardedEngineBuilder {
                 compact_tombstone_fraction: None,
                 planner_refresh_budget: None,
                 kernel: Kernel::default(),
-                posting_order: PostingOrder::default(),
                 rebalance: RebalanceConfig::default(),
             },
             stores: (0..num_shards).map(|_| RankingStore::new(k)).collect(),
@@ -288,13 +284,6 @@ impl ShardedEngineBuilder {
     /// [`EngineBuilder::kernel`]).
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.config.kernel = kernel;
-        self
-    }
-
-    /// CSR posting-slice ordering for every per-shard engine (see
-    /// [`EngineBuilder::posting_order`]).
-    pub fn posting_order(mut self, order: PostingOrder) -> Self {
-        self.config.posting_order = order;
         self
     }
 
@@ -974,8 +963,6 @@ pub(crate) struct ShardConfigParts {
     pub planner_refresh_budget: Option<u64>,
     /// [`Kernel::to_tag`] of the per-shard distance kernel.
     pub kernel: u32,
-    /// [`PostingOrder::to_tag`] of the per-shard posting order.
-    pub posting_order: u32,
     pub rebalance_skew_factor: f64,
     pub rebalance_min_gap: u64,
     pub rebalance_auto: bool,
@@ -1031,7 +1018,6 @@ impl ShardedEngine {
                 compact_tombstone_fraction: self.config.compact_tombstone_fraction,
                 planner_refresh_budget: self.config.planner_refresh_budget.map(|b| b as u64),
                 kernel: self.config.kernel.to_tag(),
-                posting_order: self.config.posting_order.to_tag(),
                 rebalance_skew_factor: self.config.rebalance.skew_factor,
                 rebalance_min_gap: self.config.rebalance.min_gap as u64,
                 rebalance_auto: self.config.rebalance.auto,
@@ -1131,7 +1117,6 @@ impl ShardedEngine {
             compact_tombstone_fraction: config.compact_tombstone_fraction,
             planner_refresh_budget: config.planner_refresh_budget.map(|b| b as usize),
             kernel: Kernel::from_tag(config.kernel)?,
-            posting_order: PostingOrder::from_tag(config.posting_order)?,
             rebalance: RebalanceConfig {
                 skew_factor: config.rebalance_skew_factor,
                 min_gap: config.rebalance_min_gap as usize,

@@ -1042,7 +1042,7 @@ mod tests {
         // Pin the initial generation for the whole test.
         let pinned = se.snapshot();
         for i in 0..30u32 {
-            se.insert_ranking(&pinned.store().items(RankingId(i % 5)).to_vec());
+            se.insert_ranking(pinned.store().items(RankingId(i % 5)));
             let fresh: Vec<ItemId> = (1000 + i * 10..1000 + i * 10 + 8).map(ItemId).collect();
             se.insert_ranking(&fresh);
         }

@@ -161,13 +161,17 @@ proptest! {
 #[test]
 fn future_format_version_is_refused_by_name() {
     let (mut bytes, path) = probe_snapshot("future-version");
-    // Bytes 4..8 are the little-endian format version.
-    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-    match load_engine(&path, LoadMode::Verify) {
-        Err(PersistError::UnsupportedVersion(3)) => {}
-        Err(other) => panic!("expected UnsupportedVersion(3), got {other:?}"),
-        Ok(_) => panic!("future version must not load"),
+    // Bytes 4..8 are the little-endian format version. Both the next
+    // version and the retired v2 (which carried posting-order tags and
+    // rank planes) must be refused by name, never decoded.
+    for version in [4u32, 2] {
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match load_engine(&path, LoadMode::Verify) {
+            Err(PersistError::UnsupportedVersion(v)) if v == version => {}
+            Err(other) => panic!("expected UnsupportedVersion({version}), got {other:?}"),
+            Ok(_) => panic!("version {version} must not load"),
+        }
     }
     std::fs::remove_file(&path).unwrap();
 }

@@ -42,19 +42,14 @@ pub const KERNEL_CHUNK: usize = 4;
 /// Selection is a runtime value (engine-level configuration, `repro
 /// --kernel`) so the two implementations can be A/B-measured in one
 /// binary without rebuilding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// Reference per-item loop; branch on query membership per item.
     Scalar,
     /// Chunked branchless (auto-vectorization-friendly) loop with the
     /// suffix-bound early exit.
+    #[default]
     Simd,
-}
-
-impl Default for Kernel {
-    fn default() -> Self {
-        Kernel::Simd
-    }
 }
 
 impl fmt::Display for Kernel {

@@ -124,7 +124,7 @@ fn launch_trio(
 }
 
 fn queries_for(n_queries: usize, seed: u64) -> Vec<Vec<ItemId>> {
-    let mut rng = proptest::rng_from_seed(seed ^ 0x0D15_7ED);
+    let mut rng = proptest::rng_from_seed(seed ^ 0x00D1_57ED);
     (0..n_queries)
         .map(|i| clustered_ranking(&mut rng, i as u32 % CLUSTERS))
         .collect()

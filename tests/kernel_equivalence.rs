@@ -1,26 +1,18 @@
-//! Differential harness for the engine-level kernel/ordering grid: an
-//! engine built with the SIMD kernel and/or suffix-bound-ordered
-//! postings must be **indistinguishable** from the scalar,
-//! insertion-ordered oracle — across every algorithm of the paper's
+//! Differential harness for the engine-level distance kernels: an
+//! engine built with the SIMD kernel must be **indistinguishable** from
+//! the scalar oracle — across every algorithm of the paper's
 //! evaluation, the `Auto` planner, exact top-k, and through the mutable
-//! delta plane (which maintains its own suffix-bound ordering).
+//! delta plane.
 //!
 //! Thresholds compare canonical (sorted) result sets; top-k answers
-//! must be bit-identical `(distance, id)` sequences. The deterministic
-//! tests additionally pin that tight thresholds actually exercise the
-//! rank-window scan (`postings_skipped > 0`) — an equivalence suite
-//! that never skips a posting would prove nothing about the window.
+//! must be bit-identical `(distance, id)` sequences.
 
 use proptest::prelude::*;
 use ranksim::datasets::nyt_like;
 use ranksim::prelude::*;
 
-/// The three non-oracle cells of the (order × kernel) grid.
-const ARMS: [(PostingOrder, Kernel); 3] = [
-    (PostingOrder::Id, Kernel::Simd),
-    (PostingOrder::SuffixBound, Kernel::Scalar),
-    (PostingOrder::SuffixBound, Kernel::Simd),
-];
+/// The non-oracle kernels.
+const ARMS: [Kernel; 1] = [Kernel::Simd];
 
 fn corpus(n: usize, k: usize, domain: u32) -> impl Strategy<Value = Vec<Vec<u32>>> {
     proptest::collection::vec(
@@ -40,12 +32,11 @@ fn store_of(rankings: &[Vec<u32>]) -> RankingStore {
     store
 }
 
-fn grid_engine(store: RankingStore, order: PostingOrder, kernel: Kernel) -> Engine {
+fn grid_engine(store: RankingStore, kernel: Kernel) -> Engine {
     EngineBuilder::new(store)
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
         .topk_tree(true)
-        .posting_order(order)
         .kernel(kernel)
         .build()
 }
@@ -53,10 +44,9 @@ fn grid_engine(store: RankingStore, order: PostingOrder, kernel: Kernel) -> Engi
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every algorithm plus `Auto` plus top-k: each grid arm equals the
-    /// scalar/insertion-ordered oracle on random corpora and mixed θ
-    /// (the low end drives the rank window, the high end the kernel's
-    /// suffix-bound abort).
+    /// Every algorithm plus `Auto` plus top-k: each kernel arm equals the
+    /// scalar oracle on random corpora and mixed θ (the high end drives
+    /// the kernel's suffix-bound abort).
     #[test]
     fn grid_arms_equal_the_scalar_unordered_oracle(
         rankings in corpus(70, 6, 22),
@@ -67,13 +57,12 @@ proptest! {
         let store = store_of(&rankings);
         let raw = raw_threshold(theta, 6);
         let q: Vec<ItemId> = query.into_iter().map(ItemId).collect();
-        let oracle = grid_engine(store.clone(), PostingOrder::Id, Kernel::Scalar);
+        let oracle = grid_engine(store.clone(), Kernel::Scalar);
         let mut oscratch = oracle.scratch();
         let mut ostats = QueryStats::new();
         let topk_expect = oracle.query_topk(&q, neighbours, &mut oscratch, &mut ostats);
-        for (order, kernel) in ARMS {
-            let arm = grid_engine(store.clone(), order, kernel);
-            prop_assert_eq!(arm.posting_order(), order);
+        for kernel in ARMS {
+            let arm = grid_engine(store.clone(), kernel);
             prop_assert_eq!(arm.kernel(), kernel);
             let mut scratch = arm.scratch();
             let mut stats = QueryStats::new();
@@ -84,18 +73,17 @@ proptest! {
                 got.sort_unstable();
                 prop_assert_eq!(
                     got, expect,
-                    "{} ({:?}, {:?}) θ={}", alg, order, kernel, theta
+                    "{} {:?} θ={}", alg, kernel, theta
                 );
             }
             let topk = arm.query_topk(&q, neighbours, &mut scratch, &mut stats);
-            prop_assert_eq!(&topk, &topk_expect, "top-k ({:?}, {:?})", order, kernel);
+            prop_assert_eq!(&topk, &topk_expect, "top-k {:?}", kernel);
         }
     }
 
-    /// The grid arms stay equivalent **through mutations**: inserts land
-    /// in the suffix-bound-ordered delta index, removals in the
-    /// tombstone plane — answers must keep matching the oracle engine
-    /// mutated identically.
+    /// The kernel arms stay equivalent **through mutations**: inserts land
+    /// in the delta overlay, removals in the tombstone plane — answers
+    /// must keep matching the oracle engine mutated identically.
     #[test]
     fn grid_arms_stay_equivalent_through_mutations(
         rankings in corpus(50, 5, 16),
@@ -114,12 +102,12 @@ proptest! {
             }
             engine.remove_ranking(RankingId(victim));
         };
-        let mut oracle = grid_engine(store.clone(), PostingOrder::Id, Kernel::Scalar);
+        let mut oracle = grid_engine(store.clone(), Kernel::Scalar);
         mutate(&mut oracle);
         let mut oscratch = oracle.scratch();
         let mut ostats = QueryStats::new();
-        for (order, kernel) in ARMS {
-            let mut arm = grid_engine(store.clone(), order, kernel);
+        for kernel in ARMS {
+            let mut arm = grid_engine(store.clone(), kernel);
             mutate(&mut arm);
             let mut scratch = arm.scratch();
             let mut stats = QueryStats::new();
@@ -130,25 +118,24 @@ proptest! {
                 got.sort_unstable();
                 prop_assert_eq!(
                     got, expect,
-                    "{} ({:?}, {:?}) θ={} after mutations", alg, order, kernel, theta
+                    "{} {:?} θ={} after mutations", alg, kernel, theta
                 );
             }
         }
     }
 }
 
-/// Tight thresholds on a realistic corpus must actually exercise the
-/// suffix-bound rank window — postings skipped, results unchanged. At
-/// k = 10 a raw threshold below the maximum rank displacement (9) is
-/// required for the window to bite; θ = 0.05 gives raw 5.
+/// Tight thresholds on a realistic corpus: the SIMD kernel's early
+/// abort fires on most validations at θ = 0.05 (raw 5 at k = 10), and
+/// results must still equal the scalar oracle's.
 #[test]
-fn tight_thresholds_skip_postings_without_changing_results() {
+fn tight_thresholds_simd_equals_scalar() {
     let ds = nyt_like(2000, 10, 91);
-    let oracle = grid_engine(ds.store.clone(), PostingOrder::Id, Kernel::Scalar);
-    let suffix = grid_engine(ds.store.clone(), PostingOrder::SuffixBound, Kernel::Simd);
+    let oracle = grid_engine(ds.store.clone(), Kernel::Scalar);
+    let simd = grid_engine(ds.store.clone(), Kernel::Simd);
     let raw = raw_threshold(0.05, 10);
     let mut oscratch = oracle.scratch();
-    let mut sscratch = suffix.scratch();
+    let mut sscratch = simd.scratch();
     let mut ostats = QueryStats::new();
     let mut sstats = QueryStats::new();
     for probe in 0..40u32 {
@@ -156,17 +143,17 @@ fn tight_thresholds_skip_postings_without_changing_results() {
         for alg in Algorithm::ALL {
             let mut expect = oracle.query_items(alg, &q, raw, &mut oscratch, &mut ostats);
             expect.sort_unstable();
-            let mut got = suffix.query_items(alg, &q, raw, &mut sscratch, &mut sstats);
+            let mut got = simd.query_items(alg, &q, raw, &mut sscratch, &mut sstats);
             got.sort_unstable();
             assert_eq!(got, expect, "{alg} at tight θ");
         }
     }
     assert!(
-        sstats.postings_skipped > 0,
-        "tight θ on a suffix-bound engine must window out postings"
+        sstats.validations_pruned > 0,
+        "tight θ must exercise the SIMD kernel's early abort"
     );
     assert_eq!(
-        ostats.postings_skipped, 0,
-        "the insertion-ordered oracle never windows"
+        ostats.validations_pruned, 0,
+        "the scalar oracle never aborts a validation"
     );
 }
