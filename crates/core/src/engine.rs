@@ -42,7 +42,7 @@ use ranksim_invindex::{
     BlockedPruneExecutor, FvDropExecutor, FvExecutor, ListMergeExecutor, PlainIndexParts,
     PlainInvertedIndex,
 };
-use ranksim_metricspace::{knn_bktree, knn_linear, query_pairs_into, BkTree, BkTreeParts};
+use ranksim_metricspace::{knn_linear, query_pairs_into, KnnHeap};
 use ranksim_rankings::{
     footrule_pairs, raw_threshold, validate_items, ExecStats, ItemId, ItemRemap, Kernel,
     QueryExecutor, QueryScratch, QueryStats, Ranking, RankingError, RankingId, RankingStore,
@@ -232,7 +232,9 @@ struct EngineConfig {
     coarse_theta_c: f64,
     coarse_theta_c_drop: Option<f64>,
     selected: Option<Vec<Algorithm>>,
-    topk_tree: bool,
+    /// Build the plain postings even when no selected algorithm needs
+    /// them, so [`Engine::query_topk`] searches them instead of scanning.
+    index_topk: bool,
     calibrated: Option<CalibratedCosts>,
     /// Auto-compaction trigger: compact once base tombstones exceed this
     /// fraction of the base live size (`f64::INFINITY` disables).
@@ -260,7 +262,7 @@ impl EngineBuilder {
                 coarse_theta_c: 0.5,
                 coarse_theta_c_drop: None,
                 selected: None,
-                topk_tree: false,
+                index_topk: false,
                 calibrated: None,
                 compact_tombstone_fraction: 0.5,
                 planner_refresh_budget: 1024,
@@ -295,12 +297,15 @@ impl EngineBuilder {
         self
     }
 
-    /// Additionally builds a corpus-wide BK-tree accelerating
-    /// [`Engine::query_topk`]. Off by default: threshold queries never
-    /// touch it, and [`Engine::query_topk`] falls back to an exact linear
-    /// scan when the tree is absent.
-    pub fn topk_tree(mut self, build_tree: bool) -> Self {
-        self.config.topk_tree = build_tree;
+    /// Indexes top-k reads: forces the plain postings that
+    /// [`Engine::query_topk`] searches to be built even when
+    /// [`EngineBuilder::algorithms`] selects no algorithm that needs
+    /// them. The default build has the postings anyway; without them
+    /// [`Engine::query_topk`] falls back to an exact linear scan. No
+    /// tree is built whatever the name says; it is kept for existing
+    /// callers.
+    pub fn topk_tree(mut self, index_topk: bool) -> Self {
+        self.config.index_topk = index_topk;
         self
     }
 
@@ -361,7 +366,6 @@ impl EngineBuilder {
             adapt: parts.adapt,
             coarse: parts.coarse,
             coarse_drop: parts.coarse_drop,
-            tree: parts.tree,
             executors: parts.executors,
             planner: parts.planner,
             config,
@@ -384,7 +388,6 @@ struct EngineParts {
     adapt: Option<Arc<AdaptSearchIndex>>,
     coarse: Option<Arc<CoarseIndex>>,
     coarse_drop: Option<Arc<CoarseIndex>>,
-    tree: Option<BkTree>,
     executors: Vec<Option<Box<dyn QueryExecutor>>>,
     planner: Option<Planner>,
 }
@@ -410,7 +413,7 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
         }
     };
     let want = |a: Algorithm| candidates.contains(&a);
-    let plain = (want(Algorithm::Fv) || want(Algorithm::FvDrop)).then(|| {
+    let plain = (want(Algorithm::Fv) || want(Algorithm::FvDrop) || config.index_topk).then(|| {
         Arc::new(PlainInvertedIndex::build_with_remap(
             store,
             remap.clone(),
@@ -461,7 +464,6 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
             drop_theta,
         ))
     });
-    let tree = config.topk_tree.then(|| BkTree::build(store));
     let executors = build_executor_table(
         &plain,
         &augmented,
@@ -493,7 +495,6 @@ fn build_parts(store: &RankingStore, config: &EngineConfig, remap: Arc<ItemRemap
         adapt,
         coarse,
         coarse_drop,
-        tree,
         executors,
         planner,
     }
@@ -566,7 +567,7 @@ pub(crate) struct EngineConfigParts {
     pub coarse_theta_c_drop: Option<f64>,
     /// Dense slots ([`Algorithm::dense_index`]); `u32::MAX` = `Auto`.
     pub selected: Option<Vec<u32>>,
-    pub topk_tree: bool,
+    pub index_topk: bool,
     pub calibrated: Option<(f64, f64)>,
     pub compact_tombstone_fraction: f64,
     pub planner_refresh_budget: u64,
@@ -594,7 +595,6 @@ pub(crate) struct EnginePersistParts {
     pub adapt: Option<AdaptIndexParts>,
     pub coarse: Option<CoarseIndexParts>,
     pub coarse_drop: Option<CoarseIndexParts>,
-    pub tree: Option<BkTreeParts>,
     pub planner: Option<PlannerSaved>,
     pub delta: Vec<u32>,
     pub delta_pos: Vec<u32>,
@@ -613,8 +613,6 @@ pub struct Engine {
     coarse: Option<Arc<CoarseIndex>>,
     /// Separately tuned coarse index for `CoarseDrop`, if configured.
     coarse_drop: Option<Arc<CoarseIndex>>,
-    /// Corpus-wide BK-tree for top-k queries (built on request).
-    tree: Option<BkTree>,
     /// One executor per built index structure, indexed by
     /// [`Algorithm::dense_index`].
     executors: Vec<Option<Box<dyn QueryExecutor>>>,
@@ -715,7 +713,6 @@ impl Engine {
             adapt: self.adapt.clone(),
             coarse: self.coarse.clone(),
             coarse_drop: self.coarse_drop.clone(),
-            tree: self.tree.clone(),
             executors: build_executor_table(
                 &self.plain,
                 &self.augmented,
@@ -751,7 +748,7 @@ impl Engine {
                     .selected
                     .as_ref()
                     .map(|sel| sel.iter().map(encode_alg).collect()),
-                topk_tree: self.config.topk_tree,
+                index_topk: self.config.index_topk,
                 calibrated: self
                     .config
                     .calibrated
@@ -766,7 +763,6 @@ impl Engine {
             adapt: self.adapt.as_ref().map(|i| i.export_parts()),
             coarse: self.coarse.as_ref().map(|i| i.export_parts()),
             coarse_drop: self.coarse_drop.as_ref().map(|i| i.export_parts()),
-            tree: self.tree.as_ref().map(|t| t.export_parts()),
             planner: self.planner.as_ref().map(|p| p.to_saved()),
             delta: self.delta.iter().map(|id| id.0).collect(),
             delta_pos: self.delta_pos.clone(),
@@ -833,7 +829,6 @@ impl Engine {
             .map(|p| CoarseIndex::from_parts(p, remap.clone()))
             .transpose()?
             .map(Arc::new);
-        let tree = parts.tree.map(BkTree::from_parts).transpose()?;
         if let Some(s) = &parts.planner {
             check_k(s.k, "planner")?;
         }
@@ -857,7 +852,7 @@ impl Engine {
             coarse_theta_c: parts.config.coarse_theta_c,
             coarse_theta_c_drop: parts.config.coarse_theta_c_drop,
             selected,
-            topk_tree: parts.config.topk_tree,
+            index_topk: parts.config.index_topk,
             calibrated: parts.config.calibrated.map(|(f, m)| CalibratedCosts {
                 footrule_ns: f,
                 merge_posting_ns: m,
@@ -915,7 +910,6 @@ impl Engine {
             adapt,
             coarse,
             coarse_drop,
-            tree,
             executors,
             planner,
             config,
@@ -960,9 +954,8 @@ impl Engine {
     /// id tables) for `n` further insertions, pinning the allocation
     /// points of [`Engine::insert_ranking`] / [`Engine::remove_ranking`]
     /// to arena growth only: after this call, the next `n` mutations
-    /// perform zero heap allocations on an engine without a top-k tree
-    /// and planner (tree node arenas and the planner's statistic refresh
-    /// have their own growth points).
+    /// perform zero heap allocations on an engine without a planner (the
+    /// planner's statistic refresh has its own growth points).
     pub fn reserve_mutations(&mut self, n: usize) {
         self.store.reserve_rankings(n);
         self.delta.reserve(n);
@@ -971,10 +964,9 @@ impl Engine {
 
     /// Inserts a ranking into the live corpus, returning its (fresh,
     /// monotonically increasing) id. The ranking lands in the delta
-    /// overlay — every algorithm sees it immediately via exact linear
-    /// validation, the top-k tree absorbs it natively — and is folded
-    /// into the CSR arenas by the next [`Engine::compact`]. Items must be
-    /// `k` pairwise-distinct ids.
+    /// overlay — every algorithm and top-k read sees it immediately via
+    /// exact linear validation — and is folded into the CSR arenas by the
+    /// next [`Engine::compact`]. Items must be `k` pairwise-distinct ids.
     pub fn insert_ranking(&mut self, items: &[ItemId]) -> RankingId {
         Self::validate_items(items, self.store.k());
         let id = self.store.push_items_unchecked(items);
@@ -994,8 +986,8 @@ impl Engine {
     }
 
     /// Tombstones ranking `id`: it disappears from every query result
-    /// immediately (emission-time filtering; postings and tree nodes stay
-    /// until compaction) and its slot is quarantined for reuse after the
+    /// immediately (emission-time filtering; postings stay until
+    /// compaction) and its slot is quarantined for reuse after the
     /// next compaction. Triggers an automatic [`Engine::compact`] once
     /// base tombstones exceed the configured fraction. Returns `false`
     /// when `id` was not live.
@@ -1009,8 +1001,7 @@ impl Engine {
         let dp = self.delta_pos[id.index()];
         if dp > 0 {
             // Delta entries leave the overlay outright — nothing else
-            // references them... except an absorbed top-k tree node,
-            // which the store's quarantine keeps sound either way.
+            // references them.
             let pos = (dp - 1) as usize;
             self.delta.swap_remove(pos);
             self.delta_pos[id.index()] = 0;
@@ -1059,7 +1050,6 @@ impl Engine {
         self.adapt = parts.adapt;
         self.coarse = parts.coarse;
         self.coarse_drop = parts.coarse_drop;
-        self.tree = parts.tree;
         self.executors = parts.executors;
         self.planner = parts.planner;
         self.delta.clear();
@@ -1092,9 +1082,6 @@ impl Engine {
         }
         self.delta.push(id);
         self.delta_pos[id.index()] = self.delta.len() as u32;
-        if let Some(tree) = &mut self.tree {
-            tree.insert(&self.store, id);
-        }
         if let Some(planner) = &mut self.planner {
             planner.note_insert(self.store.items(id));
         }
@@ -1278,9 +1265,9 @@ impl Engine {
     /// is the lexicographically smallest set of `(distance, id)` pairs,
     /// so ties at the last distance resolve to the smallest ids — the
     /// invariant [`crate::shard::ShardedEngine`] relies on to merge
-    /// per-shard answers bit-identically. Uses the BK-tree when
-    /// [`EngineBuilder::topk_tree`] built one, otherwise an exact linear
-    /// scan.
+    /// per-shard answers bit-identically. Searches the plain postings
+    /// when they were built (every default build, or
+    /// [`EngineBuilder::topk_tree`]), otherwise scans linearly.
     pub fn query_topk(
         &self,
         query: &[ItemId],
@@ -1288,22 +1275,118 @@ impl Engine {
         scratch: &mut QueryScratch,
         stats: &mut QueryStats,
     ) -> Vec<(u32, RankingId)> {
+        let mut out = Vec::new();
+        self.query_topk_into(query, neighbours, scratch, stats, &mut out);
+        out
+    }
+
+    /// [`Engine::query_topk`] into a caller-owned buffer (overwritten).
+    /// With postings, a warmed-up scratch and a buffer that has held
+    /// `neighbours + 1` pairs, steady-state calls perform zero heap
+    /// allocations.
+    pub fn query_topk_into(
+        &self,
+        query: &[ItemId],
+        neighbours: usize,
+        scratch: &mut QueryScratch,
+        stats: &mut QueryStats,
+        out: &mut Vec<(u32, RankingId)>,
+    ) {
         assert_eq!(
             query.len(),
             self.store.k(),
             "query size must match the corpus ranking size"
         );
-        if self.store.live_len() == 0 || neighbours == 0 {
-            return Vec::new();
+        out.clear();
+        // More neighbours than live rankings answer the same as all of
+        // them; the clamp also bounds the heap's reservation.
+        let neighbours = neighbours.min(self.store.live_len());
+        if neighbours == 0 {
+            return;
         }
         scratch.ensure_generation(self.generation);
         query_pairs_into(query, &mut scratch.qp);
-        // Both paths track the live corpus natively: the BK-tree absorbs
-        // every insert (`register_insert`) and skips tombstoned nodes at
-        // offer time; the linear scan enumerates live ids directly.
-        match &self.tree {
-            Some(tree) => knn_bktree(tree, &self.store, &scratch.qp, neighbours, stats),
-            None => knn_linear(&self.store, &scratch.qp, neighbours, stats),
+        let Some(plain) = &self.plain else {
+            *out = knn_linear(&self.store, &scratch.qp, neighbours, stats);
+            return;
+        };
+        let mut heap = KnnHeap::with_buffer(neighbours, std::mem::take(out));
+        self.topk_postings(plain, query, &mut heap, scratch, stats);
+        *out = heap.into_sorted();
+    }
+
+    /// The exact top-k search over the plain postings, bounded by query
+    /// overlap. With `D = k(k+1)` the adapted Footrule's maximum:
+    ///
+    /// * a ranking sharing an item with the query sits in that item's
+    ///   postings (or in the delta overlay, validated first);
+    /// * a ranking sharing no item with the query is at exactly `D`;
+    /// * a ranking absent from the lists of query positions `0..j` lacks
+    ///   those `j` query items (each costs `k − p`) and holds at least
+    ///   `j` items of its own outside the query (together at least
+    ///   `1 + … + j`), so it is at least `j(k + 1)` away — Lemma 2's
+    ///   overlap bound with the shrinking radius `τ` of the heap.
+    ///
+    /// Lists are walked in query-rank order until that bound exceeds `τ`
+    /// (strictly: a tie at `τ` could still displace a larger id); each
+    /// unseen live candidate is validated by the configured kernel's
+    /// early-abort walk at radius `τ`. If every list was walked and the
+    /// heap is short or its worst answer sits at `D`, the unseen live ids
+    /// join in ascending order at distance `D`.
+    fn topk_postings(
+        &self,
+        plain: &PlainInvertedIndex,
+        query: &[ItemId],
+        heap: &mut KnnHeap,
+        scratch: &mut QueryScratch,
+        stats: &mut QueryStats,
+    ) {
+        let k = self.store.k();
+        let d_max = (k * (k + 1)) as u32;
+        let remap = plain.remap();
+        let QueryScratch {
+            qmap, marks, qp, ..
+        } = scratch;
+        marks.begin(self.store.len());
+        // Delta rankings are in no posting list and may hold items the
+        // remap has never seen, so they take the pair-form distance.
+        for &id in &self.delta {
+            marks.mark(id.0);
+            stats.count_distance();
+            heap.offer(footrule_pairs(qp, self.store.sorted_pairs(id), k), id);
+        }
+        qmap.build(remap, query);
+        for (j, &item) in query.iter().enumerate() {
+            if (j * (k + 1)) as u32 > heap.tau() {
+                break;
+            }
+            let list = plain.list(item).unwrap_or(&[]);
+            stats.count_list(list.len());
+            for &id in list {
+                if !marks.mark(id.0) || !self.store.is_live(id) {
+                    continue;
+                }
+                stats.candidates += 1;
+                stats.count_distance();
+                let tau = heap.tau();
+                match qmap.distance_within(remap, self.store.items(id), tau, self.config.kernel) {
+                    Some(d) => heap.offer(d, id),
+                    None => stats.validations_pruned += 1,
+                }
+            }
+        }
+        // An early stop left `τ < j(k + 1) < D`, so reaching the fill
+        // means every list was walked.
+        if heap.tau() >= d_max {
+            for id in self.store.live_ids() {
+                if marks.contains(id.0) {
+                    continue;
+                }
+                if !heap.admits(d_max, id) {
+                    break;
+                }
+                heap.offer(d_max, id);
+            }
         }
     }
 
@@ -1319,7 +1402,6 @@ impl Engine {
             + self.adapt.as_ref().map_or(0, |i| i.heap_bytes())
             + self.coarse.as_ref().map_or(0, |i| i.heap_bytes())
             + self.coarse_drop.as_ref().map_or(0, |i| i.heap_bytes())
-            + self.tree.as_ref().map_or(0, |t| t.heap_bytes())
             + self.planner.as_ref().map_or(0, |p| p.heap_bytes())
             + self.delta.capacity() * std::mem::size_of::<RankingId>()
             + self.delta_pos.capacity() * std::mem::size_of::<u32>()
@@ -1487,20 +1569,22 @@ mod tests {
     }
 
     #[test]
-    fn topk_tree_and_linear_scan_agree_exactly() {
+    fn topk_postings_equal_linear_scan() {
         let ds = nyt_like(800, 10, 19);
         let domain = ds.params.domain;
-        let with_tree = EngineBuilder::new(ds.store.clone())
-            .algorithms(&[Algorithm::Fv])
+        // `topk_tree(true)` forces the postings under a build that would
+        // not need them; without it the same build scans linearly.
+        let indexed = EngineBuilder::new(ds.store.clone())
+            .algorithms(&[Algorithm::Coarse])
             .topk_tree(true)
             .build();
-        let without = EngineBuilder::new(ds.store)
-            .algorithms(&[Algorithm::Fv])
+        let scanned = EngineBuilder::new(ds.store)
+            .algorithms(&[Algorithm::Coarse])
             .build();
-        assert!(with_tree.tree.is_some());
-        assert!(without.tree.is_none());
+        assert!(indexed.plain.is_some());
+        assert!(scanned.plain.is_none());
         let wl = workload(
-            with_tree.store(),
+            indexed.store(),
             domain,
             WorkloadParams {
                 num_queries: 8,
@@ -1508,24 +1592,31 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut s1 = with_tree.scratch();
-        let mut s2 = without.scratch();
+        let mut s1 = indexed.scratch();
+        let mut s2 = scanned.scratch();
         for q in &wl.queries {
             for kn in [1usize, 5, 25, 2000] {
                 let mut st = QueryStats::new();
-                let a = with_tree.query_topk(q, kn, &mut s1, &mut st);
-                let b = without.query_topk(q, kn, &mut s2, &mut st);
+                let mut sl = QueryStats::new();
+                let a = indexed.query_topk(q, kn, &mut s1, &mut st);
+                let b = scanned.query_topk(q, kn, &mut s2, &mut sl);
                 assert_eq!(a, b, "kn={kn}");
                 assert_eq!(a.len(), kn.min(800));
                 assert!(
                     a.windows(2).all(|w| w[0] < w[1]),
                     "strictly ascending pairs"
                 );
+                if kn < 800 {
+                    assert!(
+                        st.distance_calls < sl.distance_calls,
+                        "the posting search must validate fewer rankings than the scan"
+                    );
+                }
             }
         }
         // k = 0 and the trivial self-query edge.
         let mut st = QueryStats::new();
-        assert!(with_tree
+        assert!(indexed
             .query_topk(&wl.queries[0], 0, &mut s1, &mut st)
             .is_empty());
     }

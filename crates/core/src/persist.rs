@@ -2,7 +2,7 @@
 //!
 //! A snapshot captures a built [`Engine`]'s entire flat state — the
 //! ranking store and slot lifecycle, the item remap, every CSR posting
-//! arena, the tree node planes, the coarse index tables, the planner's
+//! arena, the coarse index tables and BK-tree planes, the planner's
 //! learned state and the mutation overlay — so a restart *opens* the
 //! corpus instead of rebuilding it. The paper's indexes are all flat
 //! `Vec<u32>` planes, so the format is a thin container around them:
@@ -59,8 +59,9 @@ use ranksim_rankings::{RankingId, RemapParts, StoreParts};
 
 /// File magic: "RSSN" (RankSim SNapshot).
 pub const MAGIC: [u8; 4] = *b"RSSN";
-/// Current container format version.
-pub const FORMAT_VERSION: u32 = 3;
+/// Current container format version. Version 4 dropped the engine's
+/// top-k BK-tree section (top-k reads search the plain postings).
+pub const FORMAT_VERSION: u32 = 4;
 
 const HEADER_LEN: usize = 16;
 const ENTRY_LEN: usize = 32;
@@ -76,7 +77,6 @@ const SEC_BLOCKED: u32 = 6;
 const SEC_ADAPT: u32 = 7;
 const SEC_COARSE: u32 = 8;
 const SEC_COARSE_DROP: u32 = 9;
-const SEC_TREE: u32 = 10;
 const SEC_PLANNER: u32 = 11;
 const SEC_DELTA: u32 = 12;
 /// Sharded-deployment manifest (directory, medoids, per-shard map).
@@ -93,7 +93,6 @@ fn section_name(tag: u32) -> Option<&'static str> {
         SEC_ADAPT => "adaptsearch",
         SEC_COARSE => "coarse",
         SEC_COARSE_DROP => "coarse-drop",
-        SEC_TREE => "tree",
         SEC_PLANNER => "planner",
         SEC_DELTA => "delta",
         SEC_MANIFEST => "manifest",
@@ -664,7 +663,7 @@ fn enc_meta(meta: SnapshotMeta, cfg: &EngineConfigParts) -> Vec<u8> {
     put_f64(&mut out, cfg.coarse_theta_c_drop.unwrap_or(0.0));
     put_bool(&mut out, cfg.selected.is_some());
     put_u32_arr(&mut out, cfg.selected.as_deref().unwrap_or(&[]));
-    put_bool(&mut out, cfg.topk_tree);
+    put_bool(&mut out, cfg.index_topk);
     put_bool(&mut out, cfg.calibrated.is_some());
     let (ca, cb) = cfg.calibrated.unwrap_or((0.0, 0.0));
     put_f64(&mut out, ca);
@@ -686,7 +685,7 @@ fn dec_meta(payload: &[u8]) -> Result<(SnapshotMeta, EngineConfigParts), Persist
     let drop_theta = c.f64()?;
     let has_selected = c.boolean()?;
     let selected = c.u32_arr()?;
-    let topk_tree = c.boolean()?;
+    let index_topk = c.boolean()?;
     let has_calibrated = c.boolean()?;
     let ca = c.f64()?;
     let cb = c.f64()?;
@@ -700,7 +699,7 @@ fn dec_meta(payload: &[u8]) -> Result<(SnapshotMeta, EngineConfigParts), Persist
             coarse_theta_c,
             coarse_theta_c_drop: has_drop.then_some(drop_theta),
             selected: has_selected.then_some(selected),
-            topk_tree,
+            index_topk,
             calibrated: has_calibrated.then_some((ca, cb)),
             compact_tombstone_fraction,
             planner_refresh_budget,
@@ -871,19 +870,6 @@ fn dec_bktree_from(c: &mut Cur<'_>) -> Result<BkTreeParts, PersistError> {
         child_edges: c.u32_arr()?,
         child_targets: c.u32_arr()?,
     })
-}
-
-fn enc_tree(p: &BkTreeParts) -> Vec<u8> {
-    let mut out = Vec::new();
-    enc_bktree_into(&mut out, p);
-    out
-}
-
-fn dec_tree(payload: &[u8]) -> Result<BkTreeParts, PersistError> {
-    let mut c = Cur::new(payload, "tree");
-    let p = dec_bktree_from(&mut c)?;
-    c.finish()?;
-    Ok(p)
 }
 
 const EMPTY_BKTREE: BkTreeParts = BkTreeParts {
@@ -1074,9 +1060,6 @@ fn engine_sections(parts: &EnginePersistParts, meta: SnapshotMeta) -> Vec<(u32, 
     if let Some(p) = &parts.coarse_drop {
         sections.push((SEC_COARSE_DROP, enc_coarse(p)));
     }
-    if let Some(p) = &parts.tree {
-        sections.push((SEC_TREE, enc_tree(p)));
-    }
     if let Some(p) = &parts.planner {
         sections.push((SEC_PLANNER, enc_planner(p)));
     }
@@ -1100,6 +1083,11 @@ fn decode_engine(bytes: &[u8], mode: LoadMode) -> Result<(Engine, SnapshotMeta),
         get(tag).ok_or(PersistError::MissingSection { section: name })
     };
     let (meta, config) = dec_meta(require(SEC_META, "meta")?)?;
+    // An engine built to index top-k reads searches the plain postings;
+    // loading it without them would silently degrade to a linear scan.
+    if config.index_topk {
+        require(SEC_PLAIN, "plain")?;
+    }
     let store = dec_store(require(SEC_STORE, "store")?)?;
     let remap = dec_remap(require(SEC_REMAP, "remap")?)?;
     let (delta, delta_pos, base_dead, base_live_at_build) =
@@ -1118,7 +1106,6 @@ fn decode_engine(bytes: &[u8], mode: LoadMode) -> Result<(Engine, SnapshotMeta),
         coarse_drop: get(SEC_COARSE_DROP)
             .map(|p| dec_coarse(p, "coarse-drop"))
             .transpose()?,
-        tree: get(SEC_TREE).map(dec_tree).transpose()?,
         planner: get(SEC_PLANNER).map(dec_planner).transpose()?,
         delta,
         delta_pos,
@@ -1146,7 +1133,7 @@ fn enc_manifest(p: &ShardedPersistParts) -> Vec<u8> {
     put_f64(&mut out, cfg.coarse_theta_c_drop.unwrap_or(0.0));
     put_bool(&mut out, cfg.selected.is_some());
     put_u32_arr(&mut out, cfg.selected.as_deref().unwrap_or(&[]));
-    put_bool(&mut out, cfg.topk_trees);
+    put_bool(&mut out, cfg.index_topk);
     put_bool(&mut out, cfg.calibrated.is_some());
     let (ca, cb) = cfg.calibrated.unwrap_or((0.0, 0.0));
     put_f64(&mut out, ca);
@@ -1184,7 +1171,7 @@ fn dec_manifest(payload: &[u8]) -> Result<ShardedPersistParts, PersistError> {
     let drop_theta = c.f64()?;
     let has_selected = c.boolean()?;
     let selected = c.u32_arr()?;
-    let topk_trees = c.boolean()?;
+    let index_topk = c.boolean()?;
     let has_calibrated = c.boolean()?;
     let ca = c.f64()?;
     let cb = c.f64()?;
@@ -1221,7 +1208,7 @@ fn dec_manifest(payload: &[u8]) -> Result<ShardedPersistParts, PersistError> {
             coarse_theta_c,
             coarse_theta_c_drop: has_drop.then_some(drop_theta),
             selected: has_selected.then_some(selected),
-            topk_trees,
+            index_topk,
             calibrated: has_calibrated.then_some((ca, cb)),
             compact_tombstone_fraction: has_compact.then_some(compact),
             planner_refresh_budget: has_refresh.then_some(refresh),

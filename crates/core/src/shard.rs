@@ -97,7 +97,7 @@ struct ShardConfig {
     coarse_theta_c: f64,
     coarse_theta_c_drop: Option<f64>,
     selected: Option<Vec<Algorithm>>,
-    topk_trees: bool,
+    index_topk: bool,
     calibrated: Option<crate::CalibratedCosts>,
     compact_tombstone_fraction: Option<f64>,
     planner_refresh_budget: Option<usize>,
@@ -109,7 +109,7 @@ impl ShardConfig {
     fn build_engine(&self, store: RankingStore) -> Engine {
         let mut b = EngineBuilder::new(store)
             .coarse_threshold(self.coarse_theta_c)
-            .topk_tree(self.topk_trees);
+            .topk_tree(self.index_topk);
         if let Some(t) = self.coarse_theta_c_drop {
             b = b.coarse_drop_threshold(t);
         }
@@ -206,7 +206,7 @@ impl ShardedEngineBuilder {
                 coarse_theta_c: 0.5,
                 coarse_theta_c_drop: None,
                 selected: None,
-                topk_trees: false,
+                index_topk: false,
                 calibrated: None,
                 compact_tombstone_fraction: None,
                 planner_refresh_budget: None,
@@ -241,11 +241,13 @@ impl ShardedEngineBuilder {
         self
     }
 
-    /// Builds a per-shard BK-tree accelerating
-    /// [`ShardedEngine::query_topk`] (falls back to exact per-shard
-    /// linear scans when off; results are identical either way).
-    pub fn topk_trees(mut self, build_trees: bool) -> Self {
-        self.config.topk_trees = build_trees;
+    /// Indexes top-k reads on every shard (see
+    /// [`EngineBuilder::topk_tree`]): forces the per-shard plain postings
+    /// that [`ShardedEngine::query_topk`] searches even under a restricted
+    /// [`ShardedEngineBuilder::algorithms`] set (shards without them scan
+    /// linearly; results are identical either way).
+    pub fn topk_trees(mut self, index_topk: bool) -> Self {
+        self.config.index_topk = index_topk;
         self
     }
 
@@ -957,7 +959,7 @@ pub(crate) struct ShardConfigParts {
     pub coarse_theta_c: f64,
     pub coarse_theta_c_drop: Option<f64>,
     pub selected: Option<Vec<u32>>,
-    pub topk_trees: bool,
+    pub index_topk: bool,
     pub calibrated: Option<(f64, f64)>,
     pub compact_tombstone_fraction: Option<f64>,
     pub planner_refresh_budget: Option<u64>,
@@ -1010,7 +1012,7 @@ impl ShardedEngine {
                     .selected
                     .as_ref()
                     .map(|sel| sel.iter().map(encode_alg).collect()),
-                topk_trees: self.config.topk_trees,
+                index_topk: self.config.index_topk,
                 calibrated: self
                     .config
                     .calibrated
@@ -1109,7 +1111,7 @@ impl ShardedEngine {
             coarse_theta_c: config.coarse_theta_c,
             coarse_theta_c_drop: config.coarse_theta_c_drop,
             selected,
-            topk_trees: config.topk_trees,
+            index_topk: config.index_topk,
             calibrated: config.calibrated.map(|(f, m)| crate::CalibratedCosts {
                 footrule_ns: f,
                 merge_posting_ns: m,

@@ -47,6 +47,25 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Runs `query_topk_into` for every query at several neighbour counts
+/// and returns the summed `(distance + id)` mass of the answers.
+fn topk_grid(
+    engine: &ranksim_core::Engine,
+    queries: &[Vec<ranksim_rankings::ItemId>],
+    scratch: &mut ranksim_rankings::QueryScratch,
+    stats: &mut QueryStats,
+    out: &mut Vec<(u32, ranksim_rankings::RankingId)>,
+) -> u64 {
+    let mut mass = 0u64;
+    for q in queries {
+        for kn in [1usize, 10, 50] {
+            engine.query_topk_into(q, kn, scratch, stats, out);
+            mass += out.iter().map(|&(d, id)| (d + id.0) as u64).sum::<u64>();
+        }
+    }
+    mass
+}
+
 #[test]
 fn steady_state_query_into_performs_zero_allocations() {
     let ds = nyt_like(1500, 10, 99);
@@ -234,9 +253,6 @@ fn steady_state_query_into_performs_zero_allocations() {
     live.compact();
     assert_eq!(live.delta_len(), 0);
     assert_eq!(live.base_tombstones(), 0);
-    // (`query_topk` returns an owned Vec by design — the threshold grid
-    // is the strict-zero surface; the KNN path shares the same scratch
-    // and store machinery.)
     let run_live_grid = |scratch: &mut _, out: &mut Vec<_>, stats: &mut _| {
         let mut total = 0usize;
         for alg in Algorithm::ALL.iter().copied().chain([Algorithm::Auto]) {
@@ -264,6 +280,24 @@ fn steady_state_query_into_performs_zero_allocations() {
         after - before,
         0,
         "steady-state queries on a mutated-then-compacted engine must not \
+         touch the allocator ({} allocations during the measured pass)",
+        after - before
+    );
+    // Top-k reads (`query_topk_into`) hold the same contract: the
+    // posting search runs on the scratch, and the heap lives in the
+    // caller's result buffer.
+    let mut tout = Vec::new();
+    let twarm1 = topk_grid(&live, &wl.queries, &mut lscratch, &mut lstats, &mut tout);
+    let twarm2 = topk_grid(&live, &wl.queries, &mut lscratch, &mut lstats, &mut tout);
+    assert_eq!(twarm1, twarm2, "deterministic workload expected");
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let tmeasured = topk_grid(&live, &wl.queries, &mut lscratch, &mut lstats, &mut tout);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(tmeasured, twarm1);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state top-k on a mutated-then-compacted engine must not \
          touch the allocator ({} allocations during the measured pass)",
         after - before
     );
@@ -453,6 +487,42 @@ fn steady_state_query_into_performs_zero_allocations() {
         after - before,
         0,
         "steady-state queries on a snapshot-loaded engine must not touch \
+         the allocator ({} allocations during the measured pass)",
+        after - before
+    );
+    let mut ptout = Vec::new();
+    let ptwarm = topk_grid(
+        &warm_loaded,
+        &wl.queries,
+        &mut pscratch,
+        &mut pstats,
+        &mut ptout,
+    );
+    topk_grid(
+        &warm_loaded,
+        &wl.queries,
+        &mut pscratch,
+        &mut pstats,
+        &mut ptout,
+    );
+    assert_eq!(
+        ptwarm, twarm1,
+        "the loaded engine must return the saved top-k"
+    );
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let ptmeasured = topk_grid(
+        &warm_loaded,
+        &wl.queries,
+        &mut pscratch,
+        &mut pstats,
+        &mut ptout,
+    );
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(ptmeasured, ptwarm);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state top-k on a snapshot-loaded engine must not touch \
          the allocator ({} allocations during the measured pass)",
         after - before
     );

@@ -8,10 +8,11 @@
 //! must grow the arenas (the only allocations the mutation path is
 //! allowed).
 //!
-//! The engine under test carries no top-k tree and no planner: those
-//! absorb mutations into their own arenas (BK node arena, statistic
-//! tables) with their own growth points, which the steady-state guard in
-//! `alloc_free.rs` covers on the query side.
+//! The engine under test indexes top-k reads (`topk_tree(true)`): they
+//! search the plain postings plus the delta overlay, so inserts feed no
+//! further structure. It carries no planner, whose statistic tables
+//! absorb mutations with their own growth points (the steady-state
+//! guard in `alloc_free.rs` covers the planner on the query side).
 //!
 //! This file intentionally holds a single test: the counting allocator
 //! is global to the test binary, so a concurrently running test would
@@ -54,6 +55,7 @@ fn insert_and_remove_allocate_only_for_arena_growth() {
     let build = |store: ranksim_rankings::RankingStore| {
         EngineBuilder::new(store)
             .algorithms(&[Algorithm::Fv])
+            .topk_tree(true)
             .compaction_threshold(f64::INFINITY)
             .build()
     };

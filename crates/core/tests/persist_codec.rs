@@ -26,8 +26,7 @@ fn temp_path(tag: &str) -> PathBuf {
 
 /// A deliberately tiny engine that still populates **every** section of
 /// the container: all four posting-list indexes, both coarse indexes,
-/// the top-k BK-tree, the planner and a non-empty delta + tombstone
-/// plane. Small, because the sweep is quadratic in the file length.
+/// the planner and a non-empty delta + tombstone plane. Small, because the sweep is quadratic in the file length.
 fn probe_engine(n: usize, seed: u64) -> Engine {
     let ds = nyt_like(n, 6, seed);
     let mut engine = EngineBuilder::new(ds.store)
@@ -161,10 +160,11 @@ proptest! {
 #[test]
 fn future_format_version_is_refused_by_name() {
     let (mut bytes, path) = probe_snapshot("future-version");
-    // Bytes 4..8 are the little-endian format version. Both the next
-    // version and the retired v2 (which carried posting-order tags and
-    // rank planes) must be refused by name, never decoded.
-    for version in [4u32, 2] {
+    // Bytes 4..8 are the little-endian format version. The next version,
+    // the retired v3 (which carried the engine's top-k BK-tree section)
+    // and the retired v2 (posting-order tags and rank planes) must each
+    // be refused by name, never decoded.
+    for version in [5u32, 3, 2] {
         bytes[4..8].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         match load_engine(&path, LoadMode::Verify) {
@@ -172,6 +172,41 @@ fn future_format_version_is_refused_by_name() {
             Err(other) => panic!("expected UnsupportedVersion({version}), got {other:?}"),
             Ok(_) => panic!("version {version} must not load"),
         }
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// An engine built to index top-k reads must come back with the plain
+/// postings its top-k search runs on: a container whose META asks for
+/// them but holds no PLAIN section is a typed error, not a silent
+/// fallback to a linear scan.
+#[test]
+fn topk_indexed_engine_without_postings_is_refused() {
+    let path = temp_path("topk-no-plain");
+    let ds = nyt_like(32, 6, 4);
+    let engine = EngineBuilder::new(ds.store)
+        .algorithms(&[Algorithm::Coarse])
+        .build();
+    save_engine(&path, &engine, SnapshotMeta::default()).expect("save");
+    let mut bytes = std::fs::read(&path).unwrap();
+    // The first section-table entry (bytes 16..48) is META: tag, zero,
+    // offset u64, len u64, crc u32, zero. Its payload holds log_pos,
+    // wal_base, θ_C, the drop flag and θ, the selection flag, the
+    // one-slot selection array (count + 4 bytes padded to 8), then the
+    // top-k flag — every scalar widened to 8 bytes.
+    assert_eq!(u32::from_le_bytes(bytes[16..20].try_into().unwrap()), 1);
+    let offset = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(bytes[32..40].try_into().unwrap()) as usize;
+    let flag = offset + 6 * 8 + 16;
+    assert_eq!(bytes[flag..flag + 8], [0u8; 8], "top-k flag starts off");
+    bytes[flag] = 1;
+    let crc = ranksim_core::wal::crc32(&bytes[offset..offset + len]);
+    bytes[40..44].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    match load_engine(&path, LoadMode::Verify) {
+        Err(PersistError::MissingSection { section: "plain" }) => {}
+        Err(other) => panic!("expected MissingSection(plain), got {other:?}"),
+        Ok(_) => panic!("a top-k-indexed engine without postings must not load"),
     }
     std::fs::remove_file(&path).unwrap();
 }

@@ -1,25 +1,15 @@
-//! k-nearest-neighbour search over the metric trees.
+//! Exact k-nearest-neighbour primitives shared by every top-k path.
 //!
-//! The paper's related work frames KNN as the other canonical similarity
-//! query over metric data; range search is what the coarse index
-//! optimizes, but the underlying trees support best-first KNN directly.
-//! All searches are branch-and-bound: a max-heap holds the current k best
-//! candidates and its worst distance `τ` prunes subtrees exactly like a
-//! shrinking range query.
-//!
-//! Results are `(distance, id)` pairs sorted ascending and fully
-//! deterministic: the heap keeps the k lexicographically smallest
-//! `(distance, id)` pairs, so ties at the k-th distance resolve to the
-//! smallest ranking ids. Every traversal (linear scan, BK-, VP- and
-//! M-tree) therefore returns the **same** result set, which is what lets
-//! a sharded search merge per-shard top-k lists into a bit-identical
-//! global answer (see `ranksim_core::shard`).
+//! [`KnnHeap`] keeps the k lexicographically smallest `(distance, id)`
+//! pairs, so ties at the k-th distance resolve to the smallest ranking
+//! ids whatever the offer order. Every top-k search in this workspace —
+//! the engine's posting-driven search, the linear oracle, the sharded and
+//! remote merges — therefore returns the **same** result set, which is
+//! what lets a sharded search merge per-shard top-k lists into a
+//! bit-identical global answer (see `ranksim_core::shard`).
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::bktree::BkTree;
-use crate::vptree::VpTree;
 use ranksim_rankings::{footrule_pairs, ItemId, QueryStats, RankingId, RankingStore};
 
 /// A bounded max-heap of the current k best `(distance, id)` pairs.
@@ -32,10 +22,20 @@ pub struct KnnHeap {
 impl KnnHeap {
     /// An empty heap for `k ≥ 1` neighbours.
     pub fn new(k: usize) -> Self {
+        Self::with_buffer(k, Vec::new())
+    }
+
+    /// An empty heap for `k ≥ 1` neighbours over a caller-owned buffer
+    /// (cleared first): once the buffer holds `k + 1` slots, neither this
+    /// call nor any offer allocates, and [`KnnHeap::into_sorted`] hands
+    /// the same buffer back.
+    pub fn with_buffer(k: usize, mut buf: Vec<(u32, RankingId)>) -> Self {
         assert!(k >= 1, "k must be at least 1");
+        buf.clear();
+        buf.reserve(k + 1);
         KnnHeap {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::from(buf),
         }
     }
 
@@ -50,17 +50,23 @@ impl KnnHeap {
         }
     }
 
+    /// Whether [`KnnHeap::offer`] would keep `(dist, id)`.
+    #[inline]
+    pub fn admits(&self, dist: u32, id: RankingId) -> bool {
+        self.heap.len() < self.k || (dist, id) < *self.heap.peek().expect("non-empty")
+    }
+
     /// Offers a candidate. The heap keeps the k lexicographically
     /// smallest `(distance, id)` pairs: a candidate tied at the k-th
     /// distance still displaces a larger id, so the result set is
     /// independent of offer order (and of how a corpus is sharded).
     #[inline]
     pub fn offer(&mut self, dist: u32, id: RankingId) {
-        if self.heap.len() < self.k {
+        if self.admits(dist, id) {
             self.heap.push((dist, id));
-        } else if (dist, id) < *self.heap.peek().expect("non-empty") {
-            self.heap.push((dist, id));
-            self.heap.pop();
+            if self.heap.len() > self.k {
+                self.heap.pop();
+            }
         }
     }
 
@@ -90,68 +96,11 @@ pub fn knn_linear(
     heap.into_sorted()
 }
 
-/// Best-first KNN over a [`BkTree`].
-///
-/// Subtrees hang under exact-distance edges, so an edge `e` under a node
-/// at distance `d` from the query bounds its subtree's distances from
-/// below by `|d − e|`; subtrees are visited in ascending bound order and
-/// cut once the bound exceeds the heap's `τ`.
-pub fn knn_bktree(
-    tree: &BkTree,
-    store: &RankingStore,
-    query_pairs: &[(ItemId, u32)],
-    k_neighbours: usize,
-    stats: &mut QueryStats,
-) -> Vec<(u32, RankingId)> {
-    let mut heap = KnnHeap::new(k_neighbours);
-    let Some(root) = tree.root() else {
-        return Vec::new();
-    };
-    // Min-priority queue on the subtree lower bound.
-    let mut frontier: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-    frontier.push(Reverse((0, root)));
-    while let Some(Reverse((bound, idx))) = frontier.pop() {
-        if bound > heap.tau() {
-            break; // every remaining subtree is at least this far away
-        }
-        let node = tree.node(idx);
-        stats.tree_nodes_visited += 1;
-        stats.count_distance();
-        let d = footrule_pairs(query_pairs, store.sorted_pairs(node.ranking), store.k());
-        // Tombstoned nodes still steer the traversal (frozen content keeps
-        // the bounds exact) but never occupy a heap slot.
-        if store.is_live(node.ranking) {
-            heap.offer(d, node.ranking);
-        }
-        let tau = heap.tau();
-        for &(e, child) in &node.children {
-            let child_bound = d.abs_diff(e);
-            if child_bound <= tau {
-                frontier.push(Reverse((child_bound, child)));
-            }
-        }
-    }
-    heap.into_sorted()
-}
-
-/// Best-first KNN over a [`VpTree`].
-pub fn knn_vptree(
-    tree: &VpTree,
-    store: &RankingStore,
-    query_pairs: &[(ItemId, u32)],
-    k_neighbours: usize,
-    stats: &mut QueryStats,
-) -> Vec<(u32, RankingId)> {
-    let mut heap = KnnHeap::new(k_neighbours);
-    tree.knn_into(store, query_pairs, &mut heap, stats);
-    heap.into_sorted()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query_pairs;
     use crate::testutil::random_store;
-    use crate::{query_pairs, MTree};
 
     fn distances(v: &[(u32, RankingId)]) -> Vec<u32> {
         v.iter().map(|&(d, _)| d).collect()
@@ -168,72 +117,17 @@ mod tests {
     }
 
     #[test]
-    fn bktree_knn_matches_linear() {
-        let store = random_store(300, 6, 40, 77);
-        let tree = BkTree::build(&store);
-        for qid in [0u32, 13, 150, 299] {
-            let q = query_pairs(store.items(RankingId(qid)));
-            for k in [1usize, 5, 20] {
-                let mut s1 = QueryStats::new();
-                let mut s2 = QueryStats::new();
-                let expect = knn_linear(&store, &q, k, &mut s1);
-                let got = knn_bktree(&tree, &store, &q, k, &mut s2);
-                assert_eq!(distances(&got), distances(&expect), "qid={qid} k={k}");
-                assert!(
-                    s2.distance_calls <= s1.distance_calls,
-                    "tree KNN must not exceed the scan's distance calls"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn vptree_knn_matches_linear() {
-        let store = random_store(300, 6, 40, 88);
-        let tree = VpTree::build(&store, 4);
-        for qid in [0u32, 42, 299] {
-            let q = query_pairs(store.items(RankingId(qid)));
-            for k in [1usize, 7, 25] {
-                let mut s1 = QueryStats::new();
-                let mut s2 = QueryStats::new();
-                let expect = knn_linear(&store, &q, k, &mut s1);
-                let got = knn_vptree(&tree, &store, &q, k, &mut s2);
-                assert_eq!(distances(&got), distances(&expect), "qid={qid} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn mtree_knn_matches_linear() {
-        let store = random_store(300, 6, 40, 99);
-        let tree = MTree::build(&store);
-        for qid in [0u32, 7, 123] {
-            let q = query_pairs(store.items(RankingId(qid)));
-            for k in [1usize, 4, 16] {
-                let mut s1 = QueryStats::new();
-                let mut s2 = QueryStats::new();
-                let expect = knn_linear(&store, &q, k, &mut s1);
-                let got = tree.knn(&store, &q, k, &mut s2);
-                assert_eq!(distances(&got), distances(&expect), "qid={qid} k={k}");
-            }
-        }
-    }
-
-    #[test]
     fn knn_ties_resolve_to_smallest_ids_everywhere() {
         // A store with heavy distance ties: every ranking duplicated, so
-        // the k-th distance is almost always shared by several ids. All
-        // four traversals must return the exact lexicographic top-k —
-        // the property the sharded merge relies on.
+        // the k-th distance is almost always shared by several ids. The
+        // oracle must return the exact lexicographic top-k whatever the
+        // offer order — the property the sharded merge relies on.
         let base = random_store(120, 6, 25, 11);
         let mut store = RankingStore::new(6);
         for id in base.ids() {
             store.push_items_unchecked(base.items(id));
             store.push_items_unchecked(base.items(id));
         }
-        let bk = BkTree::build(&store);
-        let vp = VpTree::build(&store, 4);
-        let mt = MTree::build(&store);
         for qid in [0u32, 37, 121, 239] {
             let q = query_pairs(store.items(RankingId(qid)));
             for k in [1usize, 3, 9, 30] {
@@ -249,17 +143,6 @@ mod tests {
                     );
                 }
                 assert_eq!(h.into_sorted(), expect, "offer order changed the top-k");
-                assert_eq!(
-                    knn_bktree(&bk, &store, &q, k, &mut s),
-                    expect,
-                    "bk qid={qid} k={k}"
-                );
-                assert_eq!(
-                    knn_vptree(&vp, &store, &q, k, &mut s),
-                    expect,
-                    "vp qid={qid} k={k}"
-                );
-                assert_eq!(mt.knn(&store, &q, k, &mut s), expect, "mt qid={qid} k={k}");
             }
         }
     }
@@ -284,29 +167,16 @@ mod tests {
         let q = query_pairs(&[1, 2, 3, 4].map(ItemId));
         let ids = |v: &[(u32, RankingId)]| v.iter().map(|&(_, id)| id.0).collect::<Vec<_>>();
         let mut s = QueryStats::new();
-        // A tree over the pristine corpus — kept across the removals to
-        // prove dead nodes still route but never occupy slots.
-        let full_tree = BkTree::build(&store);
 
         // All ten duplicates tie at distance 0; k = 4 keeps ids 0..4.
         assert_eq!(ids(&knn_linear(&store, &q, 4, &mut s)), vec![0, 1, 2, 3]);
 
         // Tombstone the current tie winners: the next-smallest tied ids
-        // must take their heap slots, on the tree exactly like the scan.
+        // must take their heap slots.
         for v in [0u32, 1, 2] {
             assert!(store.remove(RankingId(v)));
         }
-        let rebuilt = BkTree::build(&store); // post-removal live set
         assert_eq!(ids(&knn_linear(&store, &q, 4, &mut s)), vec![3, 4, 5, 6]);
-        assert_eq!(
-            ids(&knn_bktree(&rebuilt, &store, &q, 4, &mut s)),
-            vec![3, 4, 5, 6]
-        );
-        assert_eq!(
-            ids(&knn_bktree(&full_tree, &store, &q, 4, &mut s)),
-            vec![3, 4, 5, 6],
-            "a pre-removal tree must skip tombstoned ids via the store"
-        );
 
         // Release and re-insert the same ranking ids with the same
         // content: the freshly rebuilt order must be bit-identical to the
@@ -315,12 +185,7 @@ mod tests {
         for v in [0u32, 1, 2] {
             store.insert_items_at_unchecked(RankingId(v), &[1, 2, 3, 4].map(ItemId));
         }
-        let tree2 = BkTree::build(&store);
         assert_eq!(ids(&knn_linear(&store, &q, 4, &mut s)), vec![0, 1, 2, 3]);
-        assert_eq!(
-            ids(&knn_bktree(&tree2, &store, &q, 4, &mut s)),
-            vec![0, 1, 2, 3]
-        );
         // Offer order still cannot matter: reversed re-offering agrees.
         let mut h = KnnHeap::new(4);
         for id in store.live_ids().collect::<Vec<_>>().into_iter().rev() {
@@ -335,10 +200,9 @@ mod tests {
     #[test]
     fn knn_with_k_exceeding_corpus_returns_everything() {
         let store = random_store(20, 5, 20, 3);
-        let tree = BkTree::build(&store);
         let q = query_pairs(store.items(RankingId(0)));
         let mut s = QueryStats::new();
-        let got = knn_bktree(&tree, &store, &q, 50, &mut s);
+        let got = knn_linear(&store, &q, 50, &mut s);
         assert_eq!(got.len(), 20);
         assert_eq!(got[0].0, 0, "the query's own ranking is nearest");
     }
@@ -346,11 +210,10 @@ mod tests {
     #[test]
     fn knn_first_neighbour_of_member_is_itself() {
         let store = random_store(100, 5, 30, 5);
-        let tree = MTree::build(&store);
         for qid in 0..20u32 {
             let q = query_pairs(store.items(RankingId(qid)));
             let mut s = QueryStats::new();
-            let got = tree.knn(&store, &q, 1, &mut s);
+            let got = knn_linear(&store, &q, 1, &mut s);
             assert_eq!(got[0].0, 0);
         }
     }

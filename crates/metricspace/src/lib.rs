@@ -29,7 +29,7 @@ pub mod vptree;
 pub use bktree::BkTree;
 #[doc(hidden)]
 pub use bktree::BkTreeParts;
-pub use knn::{knn_bktree, knn_linear, knn_vptree, KnnHeap};
+pub use knn::{knn_linear, KnnHeap};
 pub use mtree::MTree;
 #[doc(hidden)]
 pub use partition::PartitioningParts;

@@ -385,68 +385,6 @@ impl MTree {
         }
     }
 
-    /// Best-first KNN: the `k_neighbours` nearest rankings as ascending
-    /// `(distance, id)` pairs — the exact lexicographic top-k, ties at
-    /// the k-th distance resolving to smallest ids (see [`crate::knn`]).
-    pub fn knn(
-        &self,
-        store: &RankingStore,
-        query_pairs: &[(ItemId, u32)],
-        k_neighbours: usize,
-        stats: &mut QueryStats,
-    ) -> Vec<(u32, RankingId)> {
-        let mut heap = crate::knn::KnnHeap::new(k_neighbours);
-        self.knn_rec(store, self.root, None, query_pairs, &mut heap, stats);
-        heap.into_sorted()
-    }
-
-    fn knn_rec(
-        &self,
-        store: &RankingStore,
-        node: u32,
-        d_q_parent: Option<u32>,
-        qp: &[(ItemId, u32)],
-        heap: &mut crate::knn::KnnHeap,
-        stats: &mut QueryStats,
-    ) {
-        let k = store.k();
-        stats.tree_nodes_visited += 1;
-        match &self.nodes[node as usize] {
-            Node::Leaf(entries) => {
-                for e in entries {
-                    if !store.is_live(e.id) {
-                        continue; // tombstoned: never occupies a heap slot
-                    }
-                    if let Some(dqp) = d_q_parent {
-                        if dqp.abs_diff(e.parent_dist) > heap.tau() {
-                            continue;
-                        }
-                    }
-                    stats.count_distance();
-                    let d = footrule_pairs(qp, store.sorted_pairs(e.id), k);
-                    heap.offer(d, e.id);
-                }
-            }
-            Node::Internal(entries) => {
-                // Routing pivots are duplicates of leaf-resident rankings:
-                // they steer the descent but are never offered to the heap
-                // (otherwise ids could be reported twice).
-                for e in entries {
-                    if let Some(dqp) = d_q_parent {
-                        if dqp.abs_diff(e.parent_dist) > heap.tau().saturating_add(e.radius) {
-                            continue;
-                        }
-                    }
-                    stats.count_distance();
-                    let d = footrule_pairs(qp, store.sorted_pairs(e.pivot), k);
-                    if d.saturating_sub(e.radius) <= heap.tau() {
-                        self.knn_rec(store, e.child, Some(d), qp, heap, stats);
-                    }
-                }
-            }
-        }
-    }
-
     /// Depth of the tree (1 for a single leaf). All leaves share this depth.
     pub fn depth(&self) -> usize {
         let mut d = 1;
@@ -577,7 +515,7 @@ mod tests {
     fn incremental_insert_and_tombstones_track_the_live_corpus() {
         // The native M-tree insert path doubles as the live-corpus append
         // path: inserts after the bulk build plus tombstone filtering at
-        // the leaves must keep range and KNN exactly on the oracle.
+        // the leaves must keep range queries exactly on the oracle.
         let mut store = random_store(250, 6, 45, 23);
         let mut tree = MTree::build(&store);
         for id in (1..250u32).step_by(4) {
@@ -600,9 +538,6 @@ mod tests {
             expect.sort_unstable();
             got.sort_unstable();
             assert_eq!(got, expect, "range qid={qid}");
-            let kexp = crate::knn::knn_linear(&store, &q, 6, &mut s1);
-            let kgot = tree.knn(&store, &q, 6, &mut s2);
-            assert_eq!(kgot, kexp, "knn qid={qid}");
         }
     }
 

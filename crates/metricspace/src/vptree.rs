@@ -206,49 +206,6 @@ impl VpTree {
         out
     }
 
-    /// Best-first KNN traversal feeding `heap` (see [`crate::knn`]).
-    pub(crate) fn knn_into(
-        &self,
-        store: &RankingStore,
-        query_pairs: &[(ItemId, u32)],
-        heap: &mut crate::knn::KnnHeap,
-        stats: &mut QueryStats,
-    ) {
-        let k = store.k();
-        let mut stack: Vec<u32> = Vec::new();
-        if let Some(r) = self.root {
-            stack.push(r);
-        }
-        while let Some(idx) = stack.pop() {
-            let node = &self.nodes[idx as usize];
-            stats.tree_nodes_visited += 1;
-            stats.count_distance();
-            let d = footrule_pairs(query_pairs, store.sorted_pairs(node.vantage), k);
-            if store.is_live(node.vantage) {
-                heap.offer(d, node.vantage);
-            }
-            for &(dv, id) in &node.bucket {
-                if d.abs_diff(dv) > heap.tau() || !store.is_live(id) {
-                    continue;
-                }
-                stats.count_distance();
-                let d2 = footrule_pairs(query_pairs, store.sorted_pairs(id), k);
-                heap.offer(d2, id);
-            }
-            let tau = heap.tau();
-            if let Some(inner) = node.inner {
-                if d.saturating_sub(tau) <= node.mu {
-                    stack.push(inner);
-                }
-            }
-            if let Some(outer) = node.outer {
-                if d.saturating_add(tau) > node.mu {
-                    stack.push(outer);
-                }
-            }
-        }
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<VpNode>()
@@ -314,7 +271,7 @@ mod tests {
             assert!(store.remove(RankingId(id)));
         }
         assert_eq!(tree.len(), 300);
-        // Range queries and KNN agree with the live-corpus oracle.
+        // Range queries agree with the live-corpus oracle.
         for qid in [1u32, 2, 151, 299] {
             let q = query_pairs(store.items(RankingId(qid)));
             let mut s1 = QueryStats::new();
@@ -324,9 +281,6 @@ mod tests {
             expect.sort_unstable();
             got.sort_unstable();
             assert_eq!(got, expect, "range qid={qid}");
-            let kexp = crate::knn::knn_linear(&store, &q, 7, &mut s1);
-            let kgot = crate::knn::knn_vptree(&tree, &store, &q, 7, &mut s2);
-            assert_eq!(kgot, kexp, "knn qid={qid}");
         }
         // A rebuild drops the tombstones and keeps answering identically.
         let rebuilt = VpTree::build(&store, 5);

@@ -5,13 +5,16 @@
 //! compact operations from its proptest case seed and replays it against
 //! three targets at once:
 //!
-//! * a mutated monolithic [`Engine`] (all eight algorithms + `Auto`, a
-//!   top-k tree absorbing inserts, auto-compaction armed),
+//! * a mutated monolithic [`Engine`] (all eight algorithms + `Auto`,
+//!   top-k reads on the postings plus the delta overlay, auto-compaction
+//!   armed),
 //! * mutated [`ShardedEngine`]s at S ∈ {1, 2, 7} with auto-rebalancing
 //!   enabled (skewed inserts migrate rankings between shards mid-run),
 //! * the **oracle**: at every checkpoint, an engine freshly built from
 //!   the model corpus at the *original ranking ids* (holes where the
-//!   live corpus has none — see [`RankingStore::push_hole`]).
+//!   live corpus has none — see [`RankingStore::push_hole`]) for
+//!   threshold answers, and an independent linear scan
+//!   ([`knn_linear`]) over that engine's store for top-k answers.
 //!
 //! Threshold answers are compared as canonical (sorted) id sets for every
 //! algorithm including `Auto`; top-k answers must be **bit-identical**
@@ -29,6 +32,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
+use ranksim::metricspace::{knn_linear, query_pairs};
 use ranksim::prelude::*;
 
 const K: usize = 8;
@@ -138,7 +142,6 @@ fn oracle_engine(model: &Model) -> Engine {
         .coarse_threshold(0.4)
         .coarse_drop_threshold(0.06)
         .calibrated_costs(CalibratedCosts::nominal(K))
-        .topk_tree(true)
         .build()
 }
 
@@ -263,8 +266,9 @@ impl Harness {
                     prop_assert_eq!(&gota, &expect, "sharded Auto S={}", SHARD_COUNTS[si]);
                 }
             }
+            let qp = query_pairs(q);
             for kn in [1usize, 5, 17] {
-                let expect = oracle.query_topk(q, kn, &mut oscratch, &mut stats);
+                let expect = knn_linear(oracle.store(), &qp, kn, &mut stats);
                 let got = self.engine.query_topk(q, kn, &mut mscratch, &mut stats);
                 prop_assert_eq!(&got, &expect, "monolith topk k={} (live={})", kn, live);
                 for (si, sh) in self.sharded.iter().enumerate() {

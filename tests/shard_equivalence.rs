@@ -100,7 +100,7 @@ proptest! {
     }
 
     /// Top-k queries: bit-identical `(distance, id)` sequences between
-    /// the sharded merge and the monolithic BK-tree/linear answers.
+    /// the sharded merge and the monolithic posting-search answers.
     #[test]
     fn sharded_topk_queries_equal_monolith(
         rankings in corpus(70, 6, 20),
@@ -116,8 +116,9 @@ proptest! {
         prop_assert_eq!(expect.len(), neighbours.min(store.len()));
         for strategy in [ShardStrategy::Hash, ShardStrategy::Medoid] {
             for &shards in &SHARD_COUNTS {
-                // Alternate per-shard BK-trees and per-shard linear scans:
-                // the answer must not depend on the shard-local method.
+                // Alternate the per-shard top-k flag: the default shard
+                // build has postings either way, and the answer must not
+                // depend on how a shard was configured.
                 let trees = shards % 2 == 0;
                 let se = sharded(&store, shards, strategy, 0.3, trees);
                 let mut sscratch = se.scratch();
