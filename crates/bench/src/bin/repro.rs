@@ -11,6 +11,8 @@
 //! cargo run -p ranksim-bench --release --bin repro -- --algorithms fv,listmerge,coarse planner
 //! # A/B the position-compare kernels (results are bit-identical):
 //! cargo run -p ranksim-bench --release --bin repro -- --kernel scalar fig8
+//! # the hot-path kernel guard (CI: RANKSIM_HOTPATH_SPEEDUP_MIN=1.3):
+//! cargo run -p ranksim-bench --release --bin repro -- hotpath
 //! ```
 //!
 //! `--scale small|default|paper` picks the corpus-size baseline;
@@ -44,50 +46,20 @@ fn main() {
             }
         }
     }
-    let mut base = ExpConfig::default_scale();
-    if let Some(pos) = args.iter().position(|a| a == "--scale") {
-        let Some(name) = args.get(pos + 1) else {
-            eprintln!("--scale needs a value: small | default | paper");
-            std::process::exit(2);
-        };
-        base = match ExpConfig::named_scale(name) {
-            Some(cfg) => cfg,
-            None => {
-                eprintln!("unknown scale '{name}'; expected small | default | paper");
-                std::process::exit(2);
-            }
-        };
-        args.drain(pos..=pos + 1);
+    let mut base = take_flag(&mut args, "--scale", "small | default | paper", |name| {
+        ExpConfig::named_scale(name)
+            .ok_or_else(|| format!("unknown scale '{name}'; expected small | default | paper"))
+    })
+    .unwrap_or_else(ExpConfig::default_scale);
+    if let Some(kernel) = take_flag(&mut args, "--kernel", "scalar | simd", parse_kernel_flag) {
+        base.kernel = kernel;
     }
-    if let Some(pos) = args.iter().position(|a| a == "--kernel") {
-        let Some(value) = args.get(pos + 1) else {
-            eprintln!("--kernel needs a value: scalar | simd");
-            std::process::exit(2);
-        };
-        match parse_kernel_flag(value) {
-            Ok(kernel) => base.kernel = kernel,
-            Err(e) => {
-                eprintln!("--kernel: {e}");
-                std::process::exit(2);
-            }
-        }
-        args.drain(pos..=pos + 1);
-    }
-    let mut algorithms: Option<Vec<Algorithm>> = None;
-    if let Some(pos) = args.iter().position(|a| a == "--algorithms") {
-        let Some(list) = args.get(pos + 1) else {
-            eprintln!("--algorithms needs a comma-separated list, e.g. fv,listmerge,coarse");
-            std::process::exit(2);
-        };
-        match parse_algorithms_flag(list) {
-            Ok(list) => algorithms = Some(list),
-            Err(e) => {
-                eprintln!("--algorithms: {e}");
-                std::process::exit(2);
-            }
-        }
-        args.drain(pos..=pos + 1);
-    }
+    let algorithms = take_flag(
+        &mut args,
+        "--algorithms",
+        "a comma-separated list, e.g. fv,listmerge,coarse",
+        parse_algorithms_flag,
+    );
     let what = args.first().map(|s| s.as_str()).unwrap_or("all");
     if algorithms.is_some() && what != "planner" {
         eprintln!("--algorithms feeds the planner's candidate set and only applies to the 'planner' experiment (got '{what}')");
@@ -118,6 +90,7 @@ fn main() {
         "recovery" => run_recovery_cmd(&cfg),
         "persist" => run_persist_cmd(&cfg, t0),
         "distributed" => run_distributed_cmd(&cfg, t0),
+        "hotpath" => run_hotpath_cmd(&cfg),
         "all" => {
             run_verify(&cfg);
             run_fig3(&cfg);
@@ -132,12 +105,33 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown experiment '{other}'; expected one of: verify fig3 fig5 fig6 fig7 table5 fig8 fig9 fig10 table6 ablation shard planner churn serve recovery persist distributed all"
+                "unknown experiment '{other}'; expected one of: verify fig3 fig5 fig6 fig7 table5 fig8 fig9 fig10 table6 ablation shard planner churn serve recovery persist distributed hotpath all"
             );
             std::process::exit(2);
         }
     }
     eprintln!("# total wall time: {:.1?}", t0.elapsed());
+}
+
+/// Removes `flag value` from `args` and parses the value; a missing or
+/// unparsable value exits with code 2.
+fn take_flag<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    expected: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Option<T> {
+    let pos = args.iter().position(|a| a == flag)?;
+    let Some(value) = args.get(pos + 1) else {
+        eprintln!("{flag} needs a value: {expected}");
+        std::process::exit(2);
+    };
+    let parsed = parse(value).unwrap_or_else(|e| {
+        eprintln!("{flag}: {e}");
+        std::process::exit(2);
+    });
+    args.drain(pos..=pos + 1);
+    Some(parsed)
 }
 
 /// The sharded paper-scale experiment: streams the NYT-family corpus
@@ -193,27 +187,21 @@ fn run_shard(cfg: &ExpConfig, t0: std::time::Instant) {
         report.results
     );
 
-    let json_path =
-        std::env::var("RANKSIM_SHARD_JSON").unwrap_or_else(|_| "BENCH_shard.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write shard report JSON");
-    println!("report written to {json_path}");
+    write_report("shard", "RANKSIM_SHARD_JSON", &report.to_json());
+    guard(
+        "RANKSIM_SHARD_MEM_BUDGET_MB",
+        total_mb,
+        Bound::Ceiling,
+        |m, l| format!("memory budget ok: {m:.1} MB <= {l:.1} MB"),
+    );
+    time_guard("RANKSIM_SHARD_TIME_BUDGET_S", t0);
+}
 
-    let budget_env = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<f64>().ok());
-    if let Some(budget_mb) = budget_env("RANKSIM_SHARD_MEM_BUDGET_MB") {
-        if total_mb > budget_mb {
-            eprintln!("MEMORY BUDGET EXCEEDED: {total_mb:.1} MB > {budget_mb:.1} MB");
-            std::process::exit(1);
-        }
-        println!("memory budget ok: {total_mb:.1} MB <= {budget_mb:.1} MB");
-    }
-    if let Some(budget_s) = budget_env("RANKSIM_SHARD_TIME_BUDGET_S") {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > budget_s {
-            eprintln!("TIME BUDGET EXCEEDED: {elapsed:.1}s > {budget_s:.1}s");
-            std::process::exit(1);
-        }
-        println!("time budget ok: {elapsed:.1}s <= {budget_s:.1}s");
-    }
+/// The end-to-end wall-clock budget every systems experiment offers.
+fn time_guard(var: &str, t0: std::time::Instant) {
+    guard(var, t0.elapsed().as_secs_f64(), Bound::Ceiling, |m, l| {
+        format!("time budget ok: {m:.1}s <= {l:.1}s")
+    });
 }
 
 /// The live-corpus churn experiment: a 90/10 read/write mix against the
@@ -270,22 +258,8 @@ fn run_churn_cmd(cfg: &ExpConfig, t0: std::time::Instant) {
         report.live_len
     );
 
-    let json_path =
-        std::env::var("RANKSIM_CHURN_JSON").unwrap_or_else(|_| "BENCH_churn.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write churn report JSON");
-    println!("report written to {json_path}");
-
-    if let Some(budget_s) = std::env::var("RANKSIM_CHURN_TIME_BUDGET_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > budget_s {
-            eprintln!("TIME BUDGET EXCEEDED: {elapsed:.1}s > {budget_s:.1}s");
-            std::process::exit(1);
-        }
-        println!("time budget ok: {elapsed:.1}s <= {budget_s:.1}s");
-    }
+    write_report("churn", "RANKSIM_CHURN_JSON", &report.to_json());
+    time_guard("RANKSIM_CHURN_TIME_BUDGET_S", t0);
 }
 
 /// The concurrent serving experiment: closed-loop clients drive a
@@ -331,34 +305,19 @@ fn run_serve_cmd(cfg: &ExpConfig, t0: std::time::Instant) {
         report.compact_s, report.abandoned_generations, report.batch_failures, report.final_live_len
     );
 
-    let json_path =
-        std::env::var("RANKSIM_SERVE_JSON").unwrap_or_else(|_| "BENCH_serve.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write serve report JSON");
-    println!("report written to {json_path}");
-
-    let budget_env = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<f64>().ok());
-    if let Some(budget_ms) = budget_env("RANKSIM_SERVE_P99_BUDGET_MS") {
-        let worst_p99_ms = report
-            .read_latency
-            .p99
-            .max(report.read_latency_during_compaction.p99)
-            / 1000.0;
-        if worst_p99_ms > budget_ms {
-            eprintln!("P99 BUDGET EXCEEDED: {worst_p99_ms:.2} ms > {budget_ms:.2} ms");
-            std::process::exit(1);
-        }
-        println!(
-            "p99 budget ok: {worst_p99_ms:.2} ms <= {budget_ms:.2} ms (incl. during compaction)"
-        );
-    }
-    if let Some(budget_s) = budget_env("RANKSIM_SERVE_TIME_BUDGET_S") {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > budget_s {
-            eprintln!("TIME BUDGET EXCEEDED: {elapsed:.1}s > {budget_s:.1}s");
-            std::process::exit(1);
-        }
-        println!("time budget ok: {elapsed:.1}s <= {budget_s:.1}s");
-    }
+    write_report("serve", "RANKSIM_SERVE_JSON", &report.to_json());
+    let worst_p99_ms = report
+        .read_latency
+        .p99
+        .max(report.read_latency_during_compaction.p99)
+        / 1000.0;
+    guard(
+        "RANKSIM_SERVE_P99_BUDGET_MS",
+        worst_p99_ms,
+        Bound::Ceiling,
+        |m, l| format!("p99 budget ok: {m:.2} ms <= {l:.2} ms (incl. during compaction)"),
+    );
+    time_guard("RANKSIM_SERVE_TIME_BUDGET_S", t0);
 }
 
 /// The durability experiment: the identical write sequence through the
@@ -394,22 +353,13 @@ fn run_recovery_cmd(cfg: &ExpConfig) {
         );
     }
 
-    let json_path =
-        std::env::var("RANKSIM_RECOVERY_JSON").unwrap_or_else(|_| "BENCH_recovery.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write recovery report JSON");
-    println!("report written to {json_path}");
-
-    if let Some(budget_s) = std::env::var("RANKSIM_RECOVERY_TIME_BUDGET_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        let worst = report.worst_recover_s();
-        if worst > budget_s {
-            eprintln!("RECOVERY TIME BUDGET EXCEEDED: {worst:.2}s > {budget_s:.2}s");
-            std::process::exit(1);
-        }
-        println!("recovery time budget ok: {worst:.2}s <= {budget_s:.2}s");
-    }
+    write_report("recovery", "RANKSIM_RECOVERY_JSON", &report.to_json());
+    guard(
+        "RANKSIM_RECOVERY_TIME_BUDGET_S",
+        report.worst_recover_s(),
+        Bound::Ceiling,
+        |m, l| format!("recovery time budget ok: {m:.2}s <= {l:.2}s"),
+    );
 }
 
 /// The distributed-serving experiment: snapshot-spawned worker
@@ -451,22 +401,8 @@ fn run_distributed_cmd(cfg: &ExpConfig, t0: std::time::Instant) {
         );
     }
 
-    let json_path =
-        std::env::var("RANKSIM_DIST_JSON").unwrap_or_else(|_| "BENCH_distributed.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write distributed report JSON");
-    println!("report written to {json_path}");
-
-    if let Some(budget_s) = std::env::var("RANKSIM_DIST_TIME_BUDGET_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > budget_s {
-            eprintln!("DISTRIBUTED TIME BUDGET EXCEEDED: {elapsed:.1}s > {budget_s:.1}s");
-            std::process::exit(1);
-        }
-        println!("time budget ok: {elapsed:.1}s <= {budget_s:.1}s");
-    }
+    write_report("distributed", "RANKSIM_DIST_JSON", &report.to_json());
+    time_guard("RANKSIM_DIST_TIME_BUDGET_S", t0);
 }
 
 /// The persistence experiment: full index build timed against re-opening
@@ -503,22 +439,8 @@ fn run_persist_cmd(cfg: &ExpConfig, t0: std::time::Instant) {
         report.checked_cells
     );
 
-    let json_path =
-        std::env::var("RANKSIM_PERSIST_JSON").unwrap_or_else(|_| "BENCH_persist.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write persist report JSON");
-    println!("report written to {json_path}");
-
-    if let Some(budget_s) = std::env::var("RANKSIM_PERSIST_TIME_BUDGET_S")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        let elapsed = t0.elapsed().as_secs_f64();
-        if elapsed > budget_s {
-            eprintln!("TIME BUDGET EXCEEDED: {elapsed:.1}s > {budget_s:.1}s");
-            std::process::exit(1);
-        }
-        println!("time budget ok: {elapsed:.1}s <= {budget_s:.1}s");
-    }
+    write_report("persist", "RANKSIM_PERSIST_JSON", &report.to_json());
+    time_guard("RANKSIM_PERSIST_TIME_BUDGET_S", t0);
 }
 
 /// The planner sweep: `Algorithm::Auto` (cost model + online
@@ -566,29 +488,53 @@ fn run_planner(cfg: &ExpConfig, algorithms: Option<Vec<Algorithm>>) {
     }
     println!("overall regret vs oracle-best: {:.1}%", overall * 100.0);
 
-    let json_path =
-        std::env::var("RANKSIM_PLANNER_JSON").unwrap_or_else(|_| "BENCH_planner.json".into());
-    std::fs::write(&json_path, report.to_json()).expect("write planner report JSON");
-    println!("report written to {json_path}");
+    write_report("planner", "RANKSIM_PLANNER_JSON", &report.to_json());
+    guard(
+        "RANKSIM_PLANNER_REGRET_BUDGET",
+        overall,
+        Bound::Ceiling,
+        |m, l| format!("regret budget ok: {:.1}% <= {:.1}%", m * 100.0, l * 100.0),
+    );
+}
 
-    if let Some(budget) = std::env::var("RANKSIM_PLANNER_REGRET_BUDGET")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        if overall > budget {
-            eprintln!(
-                "REGRET BUDGET EXCEEDED: {:.1}% > {:.1}%",
-                overall * 100.0,
-                budget * 100.0
-            );
-            std::process::exit(1);
-        }
+/// The hot-path kernel guard: the scalar and SIMD kernels on F&V and
+/// ListMerge, each verified against the brute-force scan before
+/// interleaved timed rounds (`RANKSIM_HOTPATH_ROUNDS`, default 5) —
+/// written to `BENCH_hotpath.json` (path override:
+/// `RANKSIM_HOTPATH_JSON`). `RANKSIM_HOTPATH_SPEEDUP_MIN` fails the run
+/// unless the better SIMD/scalar speedup reaches the floor.
+fn run_hotpath_cmd(cfg: &ExpConfig) {
+    let rounds = env_or("RANKSIM_HOTPATH_ROUNDS", 5usize).max(1);
+    println!(
+        "== hot path: NYT-like n={}, k=10, θ=0.2, {} queries, {rounds} interleaved rounds ==",
+        cfg.nyt_n, cfg.queries
+    );
+    let report = hotpath::run_hotpath(cfg, rounds);
+    println!(
+        "verified: {} (kernel, algorithm, query) answers match linear_scan",
+        report.verified
+    );
+    println!(
+        "{:<10} {:>14} {:>14} {:>8} {:>8}",
+        "ms/1000q", "scalar", "simd", "speedup", "abort"
+    );
+    for r in &report.rows {
         println!(
-            "regret budget ok: {:.1}% <= {:.1}%",
-            overall * 100.0,
-            budget * 100.0
+            "{:<10} {:>14.2} {:>14.2} {:>7.2}x {:>7.1}%",
+            r.name,
+            r.scalar_ms,
+            r.simd_ms,
+            r.simd_speedup(),
+            100.0 * r.abort_rate
         );
     }
+    write_report("hotpath", "RANKSIM_HOTPATH_JSON", &report.to_json());
+    guard(
+        "RANKSIM_HOTPATH_SPEEDUP_MIN",
+        report.best_speedup(),
+        Bound::Floor,
+        |m, l| format!("speedup floor satisfied: {m:.3}x >= {l:.3}x"),
+    );
 }
 
 fn run_verify(cfg: &ExpConfig) {
@@ -612,7 +558,7 @@ fn run_fig3(cfg: &ExpConfig) {
     println!("== Figure 3: modeled cost for varying θC (k=10, θ=0.2) ==");
     for family in [Family::Nyt, Family::Yago] {
         let bench = Bench::load(cfg, family, 10);
-        let (rows, opt) = fig3(&bench, 0.2, true);
+        let (rows, opt) = fig3(&bench, 0.2);
         println!("-- {} rankings, k=10, θ=0.2 --", family.name());
         println!(
             "{:>6} {:>14} {:>14} {:>14}",
@@ -686,8 +632,7 @@ fn run_fig7(cfg: &ExpConfig) {
     for family in [Family::Nyt, Family::Yago] {
         let bench = Bench::load(cfg, family, 10);
         let rows = fig7_sweep(&bench, 0.2, &THETA_C_GRID);
-        let (model_rows, model_opt) = fig3(&bench, 0.2, true);
-        let _ = model_rows;
+        let (_, model_opt) = fig3(&bench, 0.2);
         println!("-- {} — ms per 1000 queries --", family.name());
         println!(
             "{:>6} {:>12} {:>12} {:>12} {:>12}",
@@ -835,9 +780,18 @@ fn run_ablation(cfg: &ExpConfig) {
             "-- {} — coarse-index partitioning scheme (θC=0.3) --",
             family.name()
         );
-        println!("{:<64} {:>12} {:>12}", "arm", "ms/1000q", "DFC");
+        println!(
+            "{:<64} {:>12} {:>12} {:>12}",
+            "arm", "ms/1000q", "DFC", "build ms"
+        );
         for row in ablation_partitioner(&bench, 0.2, 0.3) {
-            println!("{:<64} {:>12.1} {:>12}", row.arm, row.time_ms, row.dfc);
+            println!(
+                "{:<64} {:>12.1} {:>12} {:>12.1}",
+                row.arm,
+                row.time_ms,
+                row.dfc,
+                row.build_ms.unwrap_or(f64::NAN)
+            );
         }
     }
     println!();

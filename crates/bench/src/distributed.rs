@@ -34,7 +34,7 @@ use ranksim_core::{save_sharded, RemoteOptions, RemoteShardedEngine, RemoteStats
 use ranksim_datasets::{perturb_ranking, ClusteredZipfGenerator, PerturbParams};
 use ranksim_rankings::{raw_threshold, ItemId, QueryStats};
 
-use crate::ExpConfig;
+use crate::{env_or, json_obj, ExpConfig, Json};
 
 /// Configuration of one `repro distributed` run.
 #[derive(Debug, Clone, Copy)]
@@ -53,17 +53,11 @@ pub struct DistRunConfig {
 impl DistRunConfig {
     /// Defaults plus environment overrides.
     pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         DistRunConfig {
-            shards: get("RANKSIM_DIST_SHARDS", 4).max(1),
+            shards: env_or("RANKSIM_DIST_SHARDS", 4usize).max(1),
             theta: 0.1,
             algorithm: Algorithm::Fv,
-            kill_worker: get("RANKSIM_DIST_KILL", 1) != 0,
+            kill_worker: env_or("RANKSIM_DIST_KILL", 1usize) != 0,
         }
     }
 }
@@ -128,56 +122,37 @@ impl DistBenchReport {
         self.dist_qps / self.inproc_qps
     }
 
-    /// Renders the report as a JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"distributed\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"dataset\": \"{}\", \"n\": {}, \"k\": {}, \"queries\": {}, \"theta\": {}, \"algorithm\": \"{}\"}},\n",
-            self.dataset, self.n, self.k, self.queries, self.config.theta, self.config.algorithm
-        ));
-        s.push_str(&format!(
-            "  \"shards\": {}, \"workers\": {},\n",
-            self.config.shards, self.workers
-        ));
-        s.push_str(&format!(
-            "  \"build_s\": {:.3}, \"save_s\": {:.3}, \"launch_s\": {:.3},\n",
-            self.build_s, self.save_s, self.launch_s
-        ));
-        s.push_str(&format!(
-            "  \"inproc_qps\": {:.1}, \"dist_qps\": {:.1}, \"relative_throughput\": {:.3},\n",
-            self.inproc_qps,
-            self.dist_qps,
-            self.relative_throughput()
-        ));
-        s.push_str(&format!(
-            "  \"fanout\": {{\"broadcast\": {}, \"sent\": {}, \"pruned\": {}, \"reduction\": {:.3}}},\n",
-            self.broadcast_fanout(),
-            self.stats.fanout_sent,
-            self.stats.fanout_pruned,
-            self.fanout_reduction()
-        ));
-        s.push_str(&format!(
-            "  \"worker_bounds\": [{}],\n",
-            self.worker_bounds
-                .iter()
-                .map(|(s, live, balls, r)| format!(
-                    "{{\"shard\": {s}, \"live\": {live}, \"pivots\": {balls}, \"max_radius\": {r}}}"
-                ))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "  \"failover\": {{\"killed\": {}, \"worker_deaths\": {}, \"respawns\": {}, \"hedges\": {}, \"recovery_ms\": {:.2}}}\n",
-            self.config.kill_worker,
-            self.heal_stats.worker_deaths,
-            self.heal_stats.respawns,
-            self.heal_stats.hedges,
-            self.kill_recovery_ms
-        ));
-        s.push_str("}\n");
-        s
+    /// The report as JSON (the CI artifact).
+    pub fn to_json(&self) -> Json {
+        let (c, heal) = (&self.config, &self.heal_stats);
+        let bounds = self.worker_bounds.iter().map(|&(shard, live, balls, r)| {
+            json_obj! {"shard": shard, "live": live, "pivots": balls, "max_radius": r}
+        });
+        json_obj! {
+            "bench": "distributed",
+            "workload": json_obj! {
+                "dataset": self.dataset.as_str(), "n": self.n, "k": self.k,
+                "queries": self.queries, "theta": c.theta, "algorithm": c.algorithm.to_string(),
+            },
+            "shards": c.shards, "workers": self.workers,
+            "build_s": Json::fixed(self.build_s, 3),
+            "save_s": Json::fixed(self.save_s, 3),
+            "launch_s": Json::fixed(self.launch_s, 3),
+            "inproc_qps": Json::fixed(self.inproc_qps, 1),
+            "dist_qps": Json::fixed(self.dist_qps, 1),
+            "relative_throughput": Json::fixed(self.relative_throughput(), 3),
+            "fanout": json_obj! {
+                "broadcast": self.broadcast_fanout(), "sent": self.stats.fanout_sent,
+                "pruned": self.stats.fanout_pruned,
+                "reduction": Json::fixed(self.fanout_reduction(), 3),
+            },
+            "worker_bounds": Json::arr(bounds),
+            "failover": json_obj! {
+                "killed": c.kill_worker, "worker_deaths": heal.worker_deaths,
+                "respawns": heal.respawns, "hedges": heal.hedges,
+                "recovery_ms": Json::fixed(self.kill_recovery_ms, 2),
+            },
+        }
     }
 }
 

@@ -1,9 +1,12 @@
 //! Experiment harness: one function per table/figure of the paper's
-//! evaluation (Section 7). The `repro` binary prints the same rows and
-//! series the paper reports; the criterion benches reuse the same
-//! experiment code for statistically solid spot measurements.
+//! evaluation (Section 7), plus the systems experiments (shard, churn,
+//! planner, serve, recovery, persist, distributed, hotpath). The `repro`
+//! binary is the only driver: it prints the rows and series the paper
+//! reports, writes each systems experiment's `BENCH_*.json` through
+//! [`write_report`] and enforces the CI budgets through [`guard`].
 //!
-//! Scaling knobs (environment variables, all optional):
+//! Scaling knobs (environment variables, all optional; a set value that
+//! does not parse exits with code 2, see [`env_or`]):
 //!
 //! | variable | meaning | default |
 //! |---|---|---|
@@ -15,9 +18,15 @@
 //! the paper's plots, independent of `RANKSIM_QUERIES`.
 
 pub mod distributed;
+pub mod env;
+pub mod hotpath;
+pub mod json;
 pub mod persist;
 pub mod recovery;
 pub mod serve;
+
+pub use env::{env_or, guard, Bound};
+pub use json::{write_report, Json};
 
 use std::time::{Duration, Instant};
 
@@ -51,30 +60,15 @@ pub struct ExpConfig {
 }
 
 impl ExpConfig {
-    /// Reads the configuration from the environment on top of the
-    /// laptop-budget defaults.
-    pub fn from_env() -> Self {
-        Self::default_scale().with_env_overrides()
-    }
-
     /// Environment variables override the fields of `self` (the scale
     /// baseline picked by the `repro` bin's `--scale` flag).
     pub fn with_env_overrides(self) -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         ExpConfig {
-            nyt_n: get("RANKSIM_NYT_N", self.nyt_n),
-            yago_n: get("RANKSIM_YAGO_N", self.yago_n),
-            queries: get("RANKSIM_QUERIES", self.queries),
+            nyt_n: env_or("RANKSIM_NYT_N", self.nyt_n),
+            yago_n: env_or("RANKSIM_YAGO_N", self.yago_n),
+            queries: env_or("RANKSIM_QUERIES", self.queries),
             seed: self.seed,
-            kernel: std::env::var("RANKSIM_KERNEL")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(self.kernel),
+            kernel: env_or("RANKSIM_KERNEL", self.kernel),
         }
     }
 
@@ -89,7 +83,8 @@ impl ExpConfig {
         }
     }
 
-    /// A small configuration for criterion spot benches and smoke tests.
+    /// The `--scale small` baseline: the CI smoke scale of `repro fig*`
+    /// and `repro hotpath`, and the base of the unit tests.
     pub fn small() -> Self {
         ExpConfig {
             nyt_n: 8_000,
@@ -219,15 +214,11 @@ pub struct Fig3Row {
 }
 
 /// Figure 3: the theoretical filter/validate/overall cost for varying
-/// θ_C (k = 10, θ = 0.2). Returns the curve and the model-optimal θ_C.
-pub fn fig3(bench: &Bench, theta: f64, calibrated: bool) -> (Vec<Fig3Row>, f64) {
+/// θ_C (k = 10, θ = 0.2), with operation costs measured on this machine.
+/// Returns the curve and the model-optimal θ_C.
+pub fn fig3(bench: &Bench, theta: f64) -> (Vec<Fig3Row>, f64) {
     let k = bench.store().k();
-    let costs = if calibrated {
-        CalibratedCosts::measure(k)
-    } else {
-        CalibratedCosts::nominal(k)
-    };
-    let model = CostModel::from_store(bench.store(), 60_000, 11, costs);
+    let model = CostModel::from_store(bench.store(), 60_000, 11, CalibratedCosts::measure(k));
     let theta_raw = raw_threshold(theta, k);
     let to_ms = 1000.0 / 1e6; // ns/query -> ms/1000 queries
     let mut rows = Vec::new();
@@ -748,15 +739,9 @@ impl ShardRunConfig {
     /// Defaults: S = 8, all cores, θ = 0.1, F&V, hash routing —
     /// overridable via `RANKSIM_SHARDS` / `RANKSIM_THREADS`.
     pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         ShardRunConfig {
-            shards: get("RANKSIM_SHARDS", 8).max(1),
-            threads: get("RANKSIM_THREADS", 0),
+            shards: env_or("RANKSIM_SHARDS", 8usize).max(1),
+            threads: env_or("RANKSIM_THREADS", 0),
             theta: 0.1,
             algorithm: Algorithm::Fv,
             strategy: ShardStrategy::Hash,
@@ -808,58 +793,27 @@ impl ShardRunReport {
         self.query_s * 1e3 * 1000.0 / self.queries.max(1) as f64
     }
 
-    /// Renders the report as a JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let join = |v: &[usize]| {
-            v.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"shard_scale\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"dataset\": \"{}\", \"n\": {}, \"k\": {}, \"queries\": {}, \"theta\": {}, \"algorithm\": \"{}\"}},\n",
-            self.dataset, self.n, self.k, self.queries, self.config.theta, self.config.algorithm
-        ));
-        s.push_str(&format!(
-            "  \"shards\": {}, \"threads\": {}, \"strategy\": \"{:?}\",\n",
-            self.config.shards, self.threads, self.config.strategy
-        ));
-        s.push_str(&format!(
-            "  \"generate_s\": {:.3}, \"build_s\": {:.3}, \"query_s\": {:.3}, \"ms_per_1000q\": {:.3},\n",
-            self.generate_s,
-            self.build_s,
-            self.query_s,
-            self.ms_per_1000q()
-        ));
-        s.push_str(&format!(
-            "  \"total_heap_mb\": {:.1},\n",
-            self.total_heap_bytes() as f64 / (1024.0 * 1024.0)
-        ));
-        s.push_str(&format!(
-            "  \"shard_sizes\": [{}],\n",
-            join(&self.shard_sizes)
-        ));
-        s.push_str(&format!(
-            "  \"shard_heap_bytes\": [{}],\n",
-            join(&self.shard_heap_bytes)
-        ));
-        s.push_str(&format!(
-            "  \"worker_queries\": [{}],\n",
-            self.worker_queries
-                .iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "  \"results\": {}, \"distance_calls\": {}, \"lists_accessed\": {}\n",
-            self.results, self.stats.distance_calls, self.stats.lists_accessed
-        ));
-        s.push_str("}\n");
-        s
+    /// The report as JSON (the CI artifact).
+    pub fn to_json(&self) -> Json {
+        let c = &self.config;
+        json_obj! {
+            "bench": "shard_scale",
+            "workload": json_obj! {
+                "dataset": self.dataset.as_str(), "n": self.n, "k": self.k,
+                "queries": self.queries, "theta": c.theta, "algorithm": c.algorithm.to_string(),
+            },
+            "shards": c.shards, "threads": self.threads, "strategy": format!("{:?}", c.strategy),
+            "generate_s": Json::fixed(self.generate_s, 3),
+            "build_s": Json::fixed(self.build_s, 3),
+            "query_s": Json::fixed(self.query_s, 3),
+            "ms_per_1000q": Json::fixed(self.ms_per_1000q(), 3),
+            "total_heap_mb": Json::fixed(self.total_heap_bytes() as f64 / (1024.0 * 1024.0), 1),
+            "shard_sizes": Json::arr(self.shard_sizes.iter().copied()),
+            "shard_heap_bytes": Json::arr(self.shard_heap_bytes.iter().copied()),
+            "worker_queries": Json::arr(self.worker_queries.iter().copied()),
+            "results": self.results, "distance_calls": self.stats.distance_calls,
+            "lists_accessed": self.stats.lists_accessed,
+        }
     }
 }
 
@@ -962,15 +916,9 @@ pub struct ChurnRunConfig {
 impl ChurnRunConfig {
     /// Defaults plus environment overrides.
     pub fn from_env(cfg: &ExpConfig) -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         ChurnRunConfig {
-            write_fraction: get("RANKSIM_CHURN_WRITE_PCT", 10).min(90) as f64 / 100.0,
-            ops: get("RANKSIM_CHURN_OPS", cfg.nyt_n / 2).max(100),
+            write_fraction: env_or("RANKSIM_CHURN_WRITE_PCT", 10usize).min(90) as f64 / 100.0,
+            ops: env_or("RANKSIM_CHURN_OPS", cfg.nyt_n / 2).max(100),
             theta: 0.1,
             algorithm: Algorithm::Auto,
         }
@@ -1030,44 +978,32 @@ pub struct ChurnReport {
 }
 
 impl ChurnReport {
-    /// Renders the report as a JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"churn\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"dataset\": \"{}\", \"n\": {}, \"k\": {}, \"theta\": {}, \"algorithm\": \"{}\", \"write_fraction\": {}}},\n",
-            self.dataset, self.n, self.k, self.config.theta, self.config.algorithm, self.config.write_fraction
-        ));
-        s.push_str(&format!(
-            "  \"ops\": {}, \"reads\": {}, \"inserts\": {}, \"removes\": {},\n",
-            self.ops, self.reads, self.inserts, self.removes
-        ));
-        s.push_str(&format!(
-            "  \"build_s\": {:.3}, \"compact_s\": {:.3},\n",
-            self.build_s, self.compact_s
-        ));
-        s.push_str(&format!(
-            "  \"read_ms_per_1000q\": {{\"baseline\": {:.3}, \"during_churn\": {:.3}, \"post_churn\": {:.3}, \"post_compact\": {:.3}}},\n",
-            self.baseline_ms_per_1000q,
-            self.churn_read_ms_per_1000q,
-            self.post_churn_ms_per_1000q,
-            self.post_compact_ms_per_1000q
-        ));
-        s.push_str(&format!(
-            "  \"write_us_per_op\": {:.3},\n",
-            self.churn_write_us_per_op
-        ));
-        s.push_str(&format!(
-            "  \"heap_bytes\": {{\"before\": {}, \"after_churn\": {}, \"after_compact\": {}}},\n",
-            self.heap_before_bytes, self.heap_after_churn_bytes, self.heap_after_compact_bytes
-        ));
-        s.push_str(&format!(
-            "  \"delta_len\": {}, \"tombstones\": {}, \"live_len\": {}\n",
-            self.delta_len, self.tombstones, self.live_len
-        ));
-        s.push_str("}\n");
-        s
+    /// The report as JSON (the CI artifact).
+    pub fn to_json(&self) -> Json {
+        let c = &self.config;
+        json_obj! {
+            "bench": "churn",
+            "workload": json_obj! {
+                "dataset": self.dataset.as_str(), "n": self.n, "k": self.k, "theta": c.theta,
+                "algorithm": c.algorithm.to_string(), "write_fraction": c.write_fraction,
+            },
+            "ops": self.ops, "reads": self.reads, "inserts": self.inserts, "removes": self.removes,
+            "build_s": Json::fixed(self.build_s, 3),
+            "compact_s": Json::fixed(self.compact_s, 3),
+            "read_ms_per_1000q": json_obj! {
+                "baseline": Json::fixed(self.baseline_ms_per_1000q, 3),
+                "during_churn": Json::fixed(self.churn_read_ms_per_1000q, 3),
+                "post_churn": Json::fixed(self.post_churn_ms_per_1000q, 3),
+                "post_compact": Json::fixed(self.post_compact_ms_per_1000q, 3),
+            },
+            "write_us_per_op": Json::fixed(self.churn_write_us_per_op, 3),
+            "heap_bytes": json_obj! {
+                "before": self.heap_before_bytes, "after_churn": self.heap_after_churn_bytes,
+                "after_compact": self.heap_after_compact_bytes,
+            },
+            "delta_len": self.delta_len, "tombstones": self.tombstones,
+            "live_len": self.live_len,
+        }
     }
 }
 
@@ -1291,16 +1227,11 @@ impl PlannerRunConfig {
     /// Defaults: all eight candidates, θ ∈ {0.05, 0.1, 0.2, 0.3}, corpus
     /// sizes {n/4, n}, 2 timed rounds (`RANKSIM_PLANNER_ROUNDS`).
     pub fn from_env(cfg: &ExpConfig, candidates: Option<Vec<Algorithm>>) -> Self {
-        let rounds = std::env::var("RANKSIM_PLANNER_ROUNDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2usize)
-            .max(1);
         PlannerRunConfig {
             candidates: candidates.unwrap_or_else(|| Algorithm::ALL.to_vec()),
             thetas: vec![0.05, 0.1, 0.2, 0.3],
             sizes: vec![(cfg.nyt_n / 4).max(500), cfg.nyt_n],
-            rounds,
+            rounds: env_or("RANKSIM_PLANNER_ROUNDS", 2usize).max(1),
         }
     }
 }
@@ -1381,64 +1312,30 @@ impl PlannerReport {
             .collect()
     }
 
-    /// Renders the report as a JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"planner_sweep\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"dataset\": \"{}\", \"k\": {}, \"queries\": {}}},\n",
-            self.dataset, self.k, self.queries
-        ));
-        s.push_str(&format!(
-            "  \"candidates\": [{}],\n",
-            self.candidates
-                .iter()
-                .map(|a| format!("\"{a}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "  \"overall_regret\": {:.4},\n",
-            self.overall_regret()
-        ));
-        s.push_str(&format!(
-            "  \"win_rate\": {{{}}},\n",
-            self.win_rate()
-                .iter()
-                .map(|(a, w)| format!("\"{a}\": {w:.4}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"n\": {}, \"theta\": {}, \"auto_ms\": {:.3}, \"oracle\": \"{}\", \
-                 \"oracle_ms\": {:.3}, \"regret\": {:.4}, \"predicted_ns\": {:.0}, \
-                 \"actual_ns\": {:.0}, \"alg_ms\": {{{}}}, \"picks\": {{{}}}}}{}\n",
-                r.n,
-                r.theta,
-                r.auto_ms,
-                r.oracle,
-                r.oracle_ms,
-                r.regret(),
-                r.predicted_ns,
-                r.actual_ns,
-                r.alg_ms
-                    .iter()
-                    .map(|(a, m)| format!("\"{a}\": {m:.3}"))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                r.picks
-                    .iter()
-                    .map(|(a, n)| format!("\"{a}\": {n}"))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
+    /// The report as JSON (the CI artifact).
+    pub fn to_json(&self) -> Json {
+        let fixed = |d| move |&(a, x): &(Algorithm, f64)| (a, Json::fixed(x, d));
+        let rows = self.rows.iter().map(|r| {
+            json_obj! {
+                "n": r.n, "theta": r.theta, "auto_ms": Json::fixed(r.auto_ms, 3),
+                "oracle": r.oracle.to_string(), "oracle_ms": Json::fixed(r.oracle_ms, 3),
+                "regret": Json::fixed(r.regret(), 4),
+                "predicted_ns": Json::fixed(r.predicted_ns, 0),
+                "actual_ns": Json::fixed(r.actual_ns, 0),
+                "alg_ms": Json::map(r.alg_ms.iter().map(fixed(3))),
+                "picks": Json::map(r.picks.iter().copied()),
+            }
+        });
+        json_obj! {
+            "bench": "planner_sweep",
+            "workload": json_obj! {
+                "dataset": self.dataset.as_str(), "k": self.k, "queries": self.queries,
+            },
+            "candidates": Json::arr(self.candidates.iter().map(Algorithm::to_string)),
+            "overall_regret": Json::fixed(self.overall_regret(), 4),
+            "win_rate": Json::map(self.win_rate().iter().map(fixed(4))),
+            "rows": Json::arr(rows),
         }
-        s.push_str("  ]\n}\n");
-        s
     }
 }
 
@@ -1599,6 +1496,8 @@ pub struct AblationRow {
     pub time_ms: f64,
     /// Distance-function calls over the workload.
     pub dfc: u64,
+    /// Index build time in ms, for arms that build their own index.
+    pub build_ms: Option<f64>,
 }
 
 /// Ablation A — Lemma 2 list-selection policy: dropping the *longest*
@@ -1620,6 +1519,7 @@ pub fn ablation_drop_policy(bench: &Bench, theta: f64) -> Vec<AblationRow> {
         arm: "keep all lists (F&V)".into(),
         time_ms: ms(d) * bench.scale_to_1000,
         dfc: stats.distance_calls,
+        build_ms: None,
     });
 
     let (d, stats, _) = time_queries(&bench.queries, |q, s| {
@@ -1629,6 +1529,7 @@ pub fn ablation_drop_policy(bench: &Bench, theta: f64) -> Vec<AblationRow> {
         arm: "drop longest lists (paper)".into(),
         time_ms: ms(d) * bench.scale_to_1000,
         dfc: stats.distance_calls,
+        build_ms: None,
     });
 
     // Naive positional policy: keep query positions 0..max(1, k−ω) —
@@ -1642,6 +1543,7 @@ pub fn ablation_drop_policy(bench: &Bench, theta: f64) -> Vec<AblationRow> {
         arm: "drop trailing positions (naive)".into(),
         time_ms: ms(d) * bench.scale_to_1000,
         dfc: stats.distance_calls,
+        build_ms: None,
     });
     rows
 }
@@ -1657,19 +1559,21 @@ pub fn ablation_partitioner(bench: &Bench, theta: f64, theta_c: f64) -> Vec<Abla
     let raw_c = raw_threshold(theta_c, k);
     let mut rows = Vec::new();
 
-    for (name, index) in [
-        (
-            "BK-subtree partitions (paper)",
-            CoarseIndex::build(store, raw_c),
-        ),
-        (
-            "random-medoid partitions",
+    let arms: [(&str, &dyn Fn() -> CoarseIndex); 2] = [
+        ("BK-subtree partitions (paper)", &|| {
+            CoarseIndex::build(store, raw_c)
+        }),
+        ("random-medoid partitions", &|| {
             CoarseIndex::from_partitioning(
                 store,
                 RandomMedoidPartitioner::new(17).partition(store, raw_c),
-            ),
-        ),
-    ] {
+            )
+        }),
+    ];
+    for (name, build) in arms {
+        let t = Instant::now();
+        let index = build();
+        let build_ms = ms(t.elapsed());
         let build_dfc = index.build_stats().distance_calls;
         let (d, stats, _) = time_queries(&bench.queries, |q, s| {
             index.query(store, q, raw, false, s).len()
@@ -1681,6 +1585,7 @@ pub fn ablation_partitioner(bench: &Bench, theta: f64, theta_c: f64) -> Vec<Abla
             ),
             time_ms: ms(d) * bench.scale_to_1000,
             dfc: stats.distance_calls,
+            build_ms: Some(build_ms),
         });
     }
     rows

@@ -27,7 +27,7 @@ use ranksim_core::engine::{Algorithm, Engine, EngineBuilder};
 use ranksim_core::{load_engine, save_engine, LoadMode, SnapshotMeta};
 use ranksim_rankings::{raw_threshold, QueryStats};
 
-use crate::{Bench, ExpConfig, Family};
+use crate::{env_or, json_obj, Bench, ExpConfig, Family, Json};
 
 /// Configuration of one `repro persist` run.
 #[derive(Debug, Clone, Copy)]
@@ -45,12 +45,8 @@ pub struct PersistRunConfig {
 impl PersistRunConfig {
     /// Defaults plus environment overrides.
     pub fn from_env(cfg: &ExpConfig) -> Self {
-        let check = std::env::var("RANKSIM_PERSIST_CHECK_QUERIES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| cfg.queries.min(50));
         PersistRunConfig {
-            check_queries: check.max(1),
+            check_queries: env_or("RANKSIM_PERSIST_CHECK_QUERIES", cfg.queries.min(50)).max(1),
             min_speedup: 10.0,
             speedup_floor_n: 200_000,
         }
@@ -98,29 +94,26 @@ pub struct PersistBenchReport {
 }
 
 impl PersistBenchReport {
-    /// Renders the report as a JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"persist\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"dataset\": \"{}\", \"n\": {}, \"k\": {}}},\n",
-            self.dataset, self.n, self.k
-        ));
-        s.push_str(&format!("  \"build_s\": {:.4},\n", self.build_s));
-        s.push_str(&format!(
-            "  \"save\": {{\"s\": {:.4}, \"bytes\": {}, \"mb_per_s\": {:.1}}},\n",
-            self.save_s, self.snapshot_bytes, self.save_mb_per_s
-        ));
-        for (name, c) in [("open_verify", &self.verify), ("open_trust", &self.trust)] {
-            s.push_str(&format!(
-                "  \"{name}\": {{\"s\": {:.4}, \"mb_per_s\": {:.1}, \"speedup\": {:.1}}},\n",
-                c.open_s, c.mb_per_s, c.speedup
-            ));
+    /// The report as JSON (the CI artifact).
+    pub fn to_json(&self) -> Json {
+        let open = |c: &OpenCost| {
+            json_obj! {
+                "s": Json::fixed(c.open_s, 4), "mb_per_s": Json::fixed(c.mb_per_s, 1),
+                "speedup": Json::fixed(c.speedup, 1),
+            }
+        };
+        json_obj! {
+            "bench": "persist",
+            "workload": json_obj! {"dataset": self.dataset.as_str(), "n": self.n, "k": self.k},
+            "build_s": Json::fixed(self.build_s, 4),
+            "save": json_obj! {
+                "s": Json::fixed(self.save_s, 4), "bytes": self.snapshot_bytes,
+                "mb_per_s": Json::fixed(self.save_mb_per_s, 1),
+            },
+            "open_verify": open(&self.verify),
+            "open_trust": open(&self.trust),
+            "checked_cells": self.checked_cells,
         }
-        s.push_str(&format!("  \"checked_cells\": {}\n", self.checked_cells));
-        s.push_str("}\n");
-        s
     }
 }
 

@@ -30,7 +30,7 @@ use ranksim_core::{SnapshotEngine, SyncPolicy};
 use ranksim_datasets::{perturb_ranking, PerturbParams};
 use ranksim_rankings::{ItemId, RankingId};
 
-use crate::{Bench, ExpConfig, Family};
+use crate::{env_or, json_obj, Bench, ExpConfig, Family, Json};
 
 /// Configuration of one `repro recovery` run.
 #[derive(Debug, Clone, Copy)]
@@ -48,14 +48,8 @@ pub struct RecoveryRunConfig {
 impl RecoveryRunConfig {
     /// Defaults plus environment overrides.
     pub fn from_env(cfg: &ExpConfig) -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         RecoveryRunConfig {
-            ops: get("RANKSIM_RECOVERY_OPS", (cfg.nyt_n / 10).max(1000)),
+            ops: env_or("RANKSIM_RECOVERY_OPS", (cfg.nyt_n / 10).max(1000)),
             group_max_ops: 64,
             group_max_delay_ms: 5,
         }
@@ -119,52 +113,31 @@ impl RecoveryBenchReport {
         self.points.iter().map(|p| p.recover_s).fold(0.0, f64::max)
     }
 
-    /// Renders the report as a JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"recovery\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"dataset\": \"{}\", \"n\": {}, \"k\": {}, \"ops\": {}}},\n",
-            self.dataset, self.n, self.k, self.ops
-        ));
-        s.push_str(&format!(
-            "  \"group_commit\": {{\"max_ops\": {}, \"max_delay_ms\": {}}},\n",
-            self.config.group_max_ops, self.config.group_max_delay_ms
-        ));
-        s.push_str(&format!(
-            "  \"write_us_per_op\": {{{}}},\n",
-            self.policy_costs
-                .iter()
-                .map(|c| format!("\"{}\": {:.3}", c.arm, c.us_per_op))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(&format!(
-            "  \"wal_bytes\": {{{}}},\n",
-            self.policy_costs
-                .iter()
-                .map(|c| format!("\"{}\": {}", c.arm, c.wal_bytes))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str("  \"recovery\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"ops\": {}, \"wal_bytes\": {}, \"recover_s\": {:.4}, \"ops_per_s\": {:.0}}}{}\n",
-                p.ops,
-                p.wal_bytes,
-                p.recover_s,
-                p.ops_per_s,
-                if i + 1 < self.points.len() { "," } else { "" }
-            ));
+    /// The report as JSON (the CI artifact).
+    pub fn to_json(&self) -> Json {
+        let per_arm = |f: fn(&PolicyCost) -> Json| {
+            Json::map(self.policy_costs.iter().map(|c| (&c.arm, f(c))))
+        };
+        let points = self.points.iter().map(|p| {
+            json_obj! {
+                "ops": p.ops, "wal_bytes": p.wal_bytes,
+                "recover_s": Json::fixed(p.recover_s, 4), "ops_per_s": Json::fixed(p.ops_per_s, 0),
+            }
+        });
+        json_obj! {
+            "bench": "recovery",
+            "workload": json_obj! {
+                "dataset": self.dataset.as_str(), "n": self.n, "k": self.k, "ops": self.ops,
+            },
+            "group_commit": json_obj! {
+                "max_ops": self.config.group_max_ops,
+                "max_delay_ms": self.config.group_max_delay_ms,
+            },
+            "write_us_per_op": per_arm(|c| Json::fixed(c.us_per_op, 3)),
+            "wal_bytes": per_arm(|c| c.wal_bytes.into()),
+            "recovery": Json::arr(points),
+            "worst_recover_s": Json::fixed(self.worst_recover_s(), 4),
         }
-        s.push_str(&format!(
-            "  ],\n  \"worst_recover_s\": {:.4}\n",
-            self.worst_recover_s()
-        ));
-        s.push_str("}\n");
-        s
     }
 }
 

@@ -56,7 +56,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::{Bench, ExpConfig, Family};
+use crate::{env_or, json_obj, Bench, ExpConfig, Family, Json};
 use ranksim_core::engine::{Algorithm, EngineBuilder};
 use ranksim_core::{SnapshotEngine, SyncPolicy, WalError};
 use ranksim_datasets::{perturb_ranking, PerturbParams};
@@ -98,23 +98,17 @@ pub struct ServeRunConfig {
 impl ServeRunConfig {
     /// Defaults plus environment overrides.
     pub fn from_env() -> Self {
-        let get = |k: &str, d: usize| {
-            std::env::var(k)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(d)
-        };
         ServeRunConfig {
-            clients: get("RANKSIM_SERVE_CLIENTS", 4).max(1),
-            batch_threads: get("RANKSIM_SERVE_THREADS", 2).max(1),
-            duration_s: get("RANKSIM_SERVE_SECS", 3).max(1) as f64,
-            write_fraction: get("RANKSIM_SERVE_WRITE_PCT", 10).min(90) as f64 / 100.0,
+            clients: env_or("RANKSIM_SERVE_CLIENTS", 4usize).max(1),
+            batch_threads: env_or("RANKSIM_SERVE_THREADS", 2usize).max(1),
+            duration_s: env_or("RANKSIM_SERVE_SECS", 3usize).max(1) as f64,
+            write_fraction: env_or("RANKSIM_SERVE_WRITE_PCT", 10usize).min(90) as f64 / 100.0,
             theta: 0.1,
             algorithm: Algorithm::Auto,
-            queue_capacity: get("RANKSIM_SERVE_QUEUE", 1024).max(1),
-            batch_max: get("RANKSIM_SERVE_BATCH", 64).max(1),
-            read_budget_ms: get("RANKSIM_SERVE_BUDGET_MS", 2000).max(1) as u64,
-            idle_timeout_s: get("RANKSIM_SERVE_IDLE_S", 60).max(1) as u64,
+            queue_capacity: env_or("RANKSIM_SERVE_QUEUE", 1024usize).max(1),
+            batch_max: env_or("RANKSIM_SERVE_BATCH", 64usize).max(1),
+            read_budget_ms: env_or("RANKSIM_SERVE_BUDGET_MS", 2000u64).max(1),
+            idle_timeout_s: env_or("RANKSIM_SERVE_IDLE_S", 60u64).max(1),
         }
     }
 }
@@ -383,11 +377,11 @@ impl LatencyUs {
         }
     }
 
-    fn json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"p50\": {:.1}, \"p99\": {:.1}, \"p999\": {:.1}, \"max\": {:.1}}}",
-            self.count, self.p50, self.p99, self.p999, self.max
-        )
+    fn json(&self) -> Json {
+        json_obj! {
+            "count": self.count, "p50": Json::fixed(self.p50, 1), "p99": Json::fixed(self.p99, 1),
+            "p999": Json::fixed(self.p999, 1), "max": Json::fixed(self.max, 1),
+        }
     }
 }
 
@@ -440,59 +434,29 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Renders the report as a JSON object (the CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"serve\",\n");
-        s.push_str(&format!(
-            "  \"workload\": {{\"dataset\": \"{}\", \"n\": {}, \"k\": {}, \"theta\": {}, \"algorithm\": \"{}\", \"write_fraction\": {}, \"clients\": {}, \"batch_threads\": {}, \"duration_s\": {}, \"queue_capacity\": {}, \"batch_max\": {}}},\n",
-            self.dataset,
-            self.n,
-            self.k,
-            self.config.theta,
-            self.config.algorithm,
-            self.config.write_fraction,
-            self.config.clients,
-            self.config.batch_threads,
-            self.config.duration_s,
-            self.config.queue_capacity,
-            self.config.batch_max
-        ));
-        s.push_str(&format!(
-            "  \"reads\": {}, \"writes\": {}, \"shed\": {}, \"remove_misses\": {}, \"batch_failures\": {}, \"timeouts\": {}, \"abandoned_generations\": {}, \"wal_bytes\": {}, \"healthy_at_end\": {},\n",
-            self.reads,
-            self.writes,
-            self.shed,
-            self.remove_misses,
-            self.batch_failures,
-            self.timeouts,
-            self.abandoned_generations,
-            self.wal_bytes,
-            self.healthy_at_end
-        ));
-        s.push_str(&format!(
-            "  \"read_qps\": {:.1}, \"write_qps\": {:.1},\n",
-            self.read_qps, self.write_qps
-        ));
-        s.push_str(&format!(
-            "  \"read_latency_us\": {},\n",
-            self.read_latency.json()
-        ));
-        s.push_str(&format!(
-            "  \"read_latency_during_compaction_us\": {},\n",
-            self.read_latency_during_compaction.json()
-        ));
-        s.push_str(&format!(
-            "  \"write_latency_us\": {},\n",
-            self.write_latency.json()
-        ));
-        s.push_str(&format!(
-            "  \"compact_s\": {:.3}, \"final_live_len\": {}\n",
-            self.compact_s, self.final_live_len
-        ));
-        s.push_str("}\n");
-        s
+    /// The report as JSON (the CI artifact).
+    pub fn to_json(&self) -> Json {
+        let c = &self.config;
+        json_obj! {
+            "bench": "serve",
+            "workload": json_obj! {
+                "dataset": self.dataset.as_str(), "n": self.n, "k": self.k, "theta": c.theta,
+                "algorithm": c.algorithm.to_string(), "write_fraction": c.write_fraction,
+                "clients": c.clients, "batch_threads": c.batch_threads,
+                "duration_s": c.duration_s, "queue_capacity": c.queue_capacity,
+                "batch_max": c.batch_max,
+            },
+            "reads": self.reads, "writes": self.writes, "shed": self.shed,
+            "remove_misses": self.remove_misses, "batch_failures": self.batch_failures,
+            "timeouts": self.timeouts, "abandoned_generations": self.abandoned_generations,
+            "wal_bytes": self.wal_bytes, "healthy_at_end": self.healthy_at_end,
+            "read_qps": Json::fixed(self.read_qps, 1),
+            "write_qps": Json::fixed(self.write_qps, 1),
+            "read_latency_us": self.read_latency.json(),
+            "read_latency_during_compaction_us": self.read_latency_during_compaction.json(),
+            "write_latency_us": self.write_latency.json(),
+            "compact_s": Json::fixed(self.compact_s, 3), "final_live_len": self.final_live_len,
+        }
     }
 }
 
